@@ -7,6 +7,7 @@
 // imbalanced phase (e.g. all-to-one) cannot pin unbounded memory.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <mutex>
 #include <vector>
@@ -14,6 +15,11 @@
 #include "common/bytes.hpp"
 
 namespace lamellar {
+
+/// Retention bound of one PE's lane-buffer pool in a world of `num_pes`.
+inline std::size_t lane_pool_bound(std::size_t num_pes) {
+  return std::max<std::size_t>(16, 2 * num_pes);
+}
 
 class BufferPool {
  public:

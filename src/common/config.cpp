@@ -30,7 +30,6 @@ constexpr const char* kKnownEnvVars[] = {
     "LAMELLAR_AGG_THRESHOLD",
     "LAMELLAR_BACKEND",
     "LAMELLAR_BATCH_OP_LIMIT",
-    "LAMELLAR_CMDQ_DEPTH",
     "LAMELLAR_INTERNAL_HEAP",
     "LAMELLAR_METRICS",
     "LAMELLAR_METRICS_FILE",
@@ -180,7 +179,6 @@ RuntimeConfig RuntimeConfig::from_env() {
       env_size("LAMELLAR_SYM_HEAP", cfg.symmetric_heap_bytes);
   cfg.onesided_heap_bytes =
       env_size("LAMELLAR_ONESIDED_HEAP", cfg.onesided_heap_bytes);
-  cfg.cmd_queue_depth = env_size("LAMELLAR_CMDQ_DEPTH", cfg.cmd_queue_depth);
   cfg.seed = env_u64("LAMELLAR_SEED", cfg.seed);
   cfg.enable_virtual_time =
       env_u64("LAMELLAR_VIRTUAL_TIME", cfg.enable_virtual_time ? 1 : 0) != 0;

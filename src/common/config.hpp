@@ -75,9 +75,6 @@ struct RuntimeConfig {
   /// One-sided heap size per PE in bytes.
   std::size_t onesided_heap_bytes = std::size_t{32} * 1024 * 1024;
 
-  /// Command-queue capacity (messages in flight per PE pair direction).
-  std::size_t cmd_queue_depth = 1024;
-
   /// Seed for all deterministic randomness.
   std::uint64_t seed = 42;
 

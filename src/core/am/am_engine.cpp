@@ -251,12 +251,14 @@ void AmEngine::dispatch_buffer(ByteBuffer buffer, pe_id src) {
     // let the last task's release recycle it.
     batch.hold->buffer = std::move(buffer);
     batch.hold->recycler = &outgoing_;
+    batch.hold->owner = src;
     batch.hold.reset();
   } else {
-    // Every payload view has been consumed: hand the drained buffer to the
-    // pool so a later send reuses its storage, then inject every AM task of
-    // this aggregated buffer at once (one pending update, one wake).
-    outgoing_.recycle(std::move(buffer));
+    // Every payload view has been consumed: hand the drained buffer back to
+    // its sender's pool so a later send reuses its storage, then inject
+    // every AM task of this aggregated buffer at once (one pending update,
+    // one wake).
+    outgoing_.recycle(std::move(buffer), src);
   }
   pool_.spawn_batch(std::move(batch.tasks));
   span.finish(lamellae_.clock().now(), records);

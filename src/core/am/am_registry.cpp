@@ -7,7 +7,7 @@
 namespace lamellar {
 
 InboxHold::~InboxHold() {
-  if (recycler != nullptr) recycler->recycle(std::move(buffer));
+  if (recycler != nullptr) recycler->recycle(std::move(buffer), owner);
 }
 
 AmRegistry& AmRegistry::instance() {

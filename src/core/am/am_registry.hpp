@@ -27,12 +27,14 @@ class OutgoingQueues;
 /// Keeps one aggregated inbox buffer alive while deferred tasks execute AMs
 /// that borrow views of its payload (kBorrowsPayload types).  The
 /// dispatcher parks the drained buffer here after the record walk; the last
-/// task to release its reference recycles the buffer back to the pool.
+/// task to release its reference recycles the buffer back to its owner's
+/// pool.
 /// (Moving the ByteBuffer moves a std::vector, so the heap storage — and
 /// every span into it — stays put.)
 struct InboxHold {
   ByteBuffer buffer;
   OutgoingQueues* recycler = nullptr;
+  pe_id owner = 0;  // the PE whose lane filled `buffer`
   ~InboxHold();
 };
 

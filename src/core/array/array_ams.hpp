@@ -21,7 +21,6 @@
 // numeric types are pre-registered in array_base.cpp).
 #pragma once
 
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <span>
@@ -51,110 +50,20 @@ struct ValSpan {
   }
 };
 
-template <typename T>
-struct ArrayOpAm {
-  static constexpr bool kBorrowsPayload = true;
-
-  Darc<ArrayState<T>> state;
-  OpCode op = OpCode::kAdd;
-  std::uint8_t fetch = 0;
-  PairMode pair = PairMode::kOneToOne;
-  std::span<const std::uint64_t> locals;
-  std::span<const T> vals;
-
-  // Send-side only (not wire state): when set, the operand slice is the
-  // permutation vals_base[gather_pos[j]], written element-wise into the
-  // lane instead of being staged contiguously first.
-  const T* vals_base = nullptr;
-  std::span<const std::size_t> gather_pos;
-
-  template <class Ar>
-  void serialize(Ar& ar) {
-    ar(state, op, fetch, pair);
-    if constexpr (Ar::is_writing) {
-      ar.put_elems(locals);
-      if (vals_base != nullptr) {
-        ar.template put_elems_gather<T>(
-            gather_pos.size(),
-            [this](std::size_t j) { return vals_base[gather_pos[j]]; });
-      } else {
-        ar.put_elems(vals);
-      }
-    } else {
-      locals = ar.template get_elems<std::uint64_t>();
-      vals = ar.template get_elems<T>();
-    }
-  }
-
-  ValSpan<T> exec(AmContext&) {
-    const std::size_t n =
-        pair == PairMode::kOneIdxManyVals ? vals.size() : locals.size();
-    std::span<T> out;
-    if (fetch != 0) out = ScratchArena::local().alloc_span<T>(n);
-    array_detail::apply_batch_sink<T>(*state, op, fetch != 0, pair, locals,
-                                      vals, out.data());
-    return {out};
-  }
-};
-
-template <typename T>
-struct ArrayCexAm {
-  static constexpr bool kBorrowsPayload = true;
-
-  Darc<ArrayState<T>> state;
-  T expected{};
-  std::span<const std::uint64_t> locals;
-  std::span<const T> desired;  ///< one per index, or a single shared value
-
-  // Send-side only: per-index desired values gathered by caller position.
-  const T* desired_base = nullptr;
-  std::span<const std::size_t> gather_pos;
-
-  template <class Ar>
-  void serialize(Ar& ar) {
-    ar(state, expected);
-    if constexpr (Ar::is_writing) {
-      ar.put_elems(locals);
-      if (desired_base != nullptr) {
-        ar.template put_elems_gather<T>(
-            gather_pos.size(),
-            [this](std::size_t j) { return desired_base[gather_pos[j]]; });
-      } else {
-        ar.put_elems(desired);
-      }
-    } else {
-      locals = ar.template get_elems<std::uint64_t>();
-      desired = ar.template get_elems<T>();
-    }
-  }
-
-  ValSpan<CexResult<T>> exec(AmContext&) {
-    auto out = ScratchArena::local().alloc_span<CexResult<T>>(locals.size());
-    // Zero the slots so struct padding never carries uninitialized bytes
-    // onto the wire.
-    if (!out.empty()) {
-      std::memset(static_cast<void*>(out.data()), 0, out.size_bytes());
-    }
-    for (std::size_t j = 0; j < locals.size(); ++j) {
-      const T want = desired.size() == 1 ? desired[0] : desired[j];
-      out[j] = array_detail::apply_cex<T>(*state, locals[j], expected, want);
-    }
-    return {out};
-  }
-};
-
-/// A fused lazy-chain group bound for one destination PE (DESIGN.md §11):
-/// the per-chunk local slots, the chain's stage table, and ONE concatenated
-/// operand region — per-element stages contribute locals.size() values
-/// (gathered by caller position straight into the lane), shared stages one.
-/// exec() borrows everything from the inbox and applies the composed kernel
-/// in a single pass; with `fetch` the reply carries post-chain values.
+/// The one element-op AM: a chain of zero or more stages bound for one
+/// destination PE (DESIGN.md §11) — the chunk's local slots, the chain's
+/// stage table, and ONE concatenated operand region (stage_slots values per
+/// stage, per-element operands gathered by caller position straight into
+/// the lane).  Eager ops send one-stage chains, loads empty ones.  exec()
+/// borrows everything from the inbox and applies the composed kernel in a
+/// single pass; the reply carries the pre- or post-chain values `fetch`
+/// asks for.
 template <typename T>
 struct ArrayFusedAm {
   static constexpr bool kBorrowsPayload = true;
 
   Darc<ArrayState<T>> state;
-  std::uint8_t fetch = 0;
+  FetchMode fetch = FetchMode::kNone;
   std::span<const std::uint64_t> locals;
   std::span<const FusedStage> stages;
   std::span<const T> ops;  ///< exec-side concatenated operand region
@@ -162,7 +71,7 @@ struct ArrayFusedAm {
   // Send-side only: the recorded stages (operand sources) and the chunk's
   // caller positions; the operand region is written with put_elems_gather,
   // permuting per-element operands into chunk order on the fly.
-  const FusedStageRec<T>* recs = nullptr;
+  std::span<const FusedStageRec<T>> recs;
   std::span<const std::size_t> gather_pos;
 
   template <class Ar>
@@ -171,23 +80,9 @@ struct ArrayFusedAm {
     if constexpr (Ar::is_writing) {
       ar.put_elems(locals);
       ar.put_elems(stages);
-      const std::size_t n = locals.size();
-      std::size_t total = 0;
-      for (const FusedStage& s : stages) total += s.per_elem != 0 ? n : 1;
-      // Sequential gather over the concatenated layout: advance the stage
-      // cursor when j crosses a region boundary (put_elems_gather calls
-      // strictly in order, so the walk is O(total)).
-      std::size_t si = 0;
-      std::size_t sbase = 0;
-      ar.template put_elems_gather<T>(total, [&](std::size_t j) {
-        while (j - sbase >= (stages[si].per_elem != 0 ? n : 1)) {
-          sbase += stages[si].per_elem != 0 ? n : 1;
-          ++si;
-        }
-        const FusedStageRec<T>& rec = recs[si];
-        if (!rec.per_elem) return rec.scalar;
-        return rec.vals[gather_pos[j - sbase]];
-      });
+      ar.template put_elems_gather<T>(
+          region_len(stages, locals.size()),
+          array_detail::operand_walk<T>(recs, gather_pos, locals.size()));
     } else {
       locals = ar.template get_elems<std::uint64_t>();
       stages = ar.template get_elems<FusedStage>();
@@ -197,9 +92,11 @@ struct ArrayFusedAm {
 
   ValSpan<T> exec(AmContext&) {
     std::span<T> out;
-    if (fetch != 0) out = ScratchArena::local().alloc_span<T>(locals.size());
-    array_detail::apply_fused_sink<T>(*state, stages, ops, locals,
-                                      fetch != 0 ? out.data() : nullptr);
+    if (fetch != FetchMode::kNone) {
+      out = ScratchArena::local().alloc_span<T>(locals.size());
+    }
+    array_detail::apply_fused_sink<T>(*state, stages, ops, locals, fetch,
+                                      out.data());
     return {out};
   }
 };
@@ -690,44 +587,13 @@ Future<T> collective_combine(const Darc<ArrayState<T>>& state, ReduceOp op,
 
 }  // namespace array_detail
 
-/// Collective fill helper.
-template <typename T>
-struct ArrayFillAm {
-  Darc<ArrayState<T>> state;
-  T value{};
-
-  template <class Ar>
-  void serialize(Ar& ar) {
-    ar(state, value);
-  }
-
-  void exec(AmContext&) {
-    ArrayState<T>& st = *state;
-    const std::size_t n = st.map.local_len(st.my_rank());
-    // Direct writes under the PE-wide lock (apply_one would re-lock it).
-    std::optional<std::unique_lock<std::shared_mutex>> lock;
-    if (st.mode == ArrayMode::kLocalLock) lock.emplace(*st.local_lock);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (st.mode == ArrayMode::kAtomicNative ||
-          st.mode == ArrayMode::kAtomicGeneric) {
-        array_detail::apply_one<T>(st, i, OpCode::kStore, value);
-      } else {
-        st.local_slab()[i] = value;
-      }
-    }
-  }
-};
-
 }  // namespace lamellar
 
 /// Instantiate + register the array AM family for one element type.
 #define LAMELLAR_REGISTER_ARRAY_ELEMENT(T)              \
-  LAMELLAR_REGISTER_AM(::lamellar::ArrayOpAm<T>);       \
-  LAMELLAR_REGISTER_AM(::lamellar::ArrayCexAm<T>);      \
   LAMELLAR_REGISTER_AM(::lamellar::ArrayFusedAm<T>);    \
   LAMELLAR_REGISTER_AM(::lamellar::ArrayPutAm<T>);      \
   LAMELLAR_REGISTER_AM(::lamellar::ArrayGetAm<T>);      \
   LAMELLAR_REGISTER_AM(::lamellar::ReduceStartAm<T>);   \
   LAMELLAR_REGISTER_AM(::lamellar::ReducePartialAm<T>); \
-  LAMELLAR_REGISTER_AM(::lamellar::ReduceResultAm<T>);  \
-  LAMELLAR_REGISTER_AM(::lamellar::ArrayFillAm<T>)
+  LAMELLAR_REGISTER_AM(::lamellar::ReduceResultAm<T>)

@@ -53,13 +53,10 @@ enum class OpCode : std::uint8_t {
   kCompareExchange,
 };
 
-/// How indices pair with values in a batch (paper: Many Indices - One Value,
-/// One Index - Many Values, Many - Many one-to-one).
-enum class PairMode : std::uint8_t {
-  kManyIdxOneVal,
-  kOneIdxManyVals,
-  kOneToOne,
-};
+/// Which element values a fused dispatch returns: none, the values from
+/// before the chain (eager fetch ops and loads), or the values after it
+/// (the lazy gather terminal).
+enum class FetchMode : std::uint8_t { kNone, kPre, kPost };
 
 /// Result of a compare-exchange: the value observed and whether it swapped.
 template <typename T>
@@ -71,6 +68,14 @@ struct CexResult {
     ar(current, success);
   }
 };
+
+/// The outcome of a compare-exchange, rebuilt from the value the owner saw
+/// before the stage: it swapped exactly when that value was `expected`.
+template <typename T>
+CexResult<T> cex_result(T prev, T expected) {
+  const bool ok = prev == expected;
+  return {ok ? expected : prev, static_cast<std::uint8_t>(ok)};
+}
 
 template <typename T>
 constexpr bool kNativeAtomicCapable =
@@ -89,7 +94,23 @@ struct FusedStage {
 static_assert(std::is_trivially_copyable_v<FusedStage> &&
               sizeof(FusedStage) == 2);
 
-/// One recorded stage of a lazy chain on the caller side: the op plus its
+/// Operand slots one stage occupies in a chunk of `n` elements: one per
+/// element or one shared value, plus the shared `expected` that leads a
+/// compare-exchange stage's region.
+inline std::size_t stage_slots(const FusedStage& s, std::size_t n) {
+  return (s.per_elem != 0 ? n : 1) +
+         (s.op == OpCode::kCompareExchange ? 1 : 0);
+}
+
+/// Length of a chunk's concatenated operand region.
+inline std::size_t region_len(std::span<const FusedStage> stages,
+                              std::size_t n) {
+  std::size_t total = 0;
+  for (const FusedStage& s : stages) total += stage_slots(s, n);
+  return total;
+}
+
+/// One recorded stage of a chain on the caller side: the op plus its
 /// operand source — a shared scalar, or a borrowed pointer into the
 /// caller's per-element value buffer (which must stay alive until the
 /// chain group flushes; see DESIGN.md §11).
@@ -99,6 +120,21 @@ struct FusedStageRec {
   bool per_elem = false;
   T scalar{};               ///< shared operand when !per_elem
   const T* vals = nullptr;  ///< caller operand buffer when per_elem
+  T expected{};             ///< compare-exchange: the shared expected value
+
+  [[nodiscard]] FusedStage wire() const {
+    return {op, static_cast<std::uint8_t>(per_elem ? 1 : 0)};
+  }
+
+  /// Slot `r` of this stage's operand region for a chunk whose caller
+  /// positions are `pos`.
+  T operand(std::size_t r, std::span<const std::size_t> pos) const {
+    if (op == OpCode::kCompareExchange) {
+      if (r == 0) return expected;
+      --r;
+    }
+    return per_elem ? vals[pos[r]] : scalar;
+  }
 };
 
 /// Collective reductions (iterator reduce) allocate their tree ids in a
@@ -369,146 +405,54 @@ T apply_one(ArrayState<T>& st, std::size_t local, OpCode op, T operand) {
   throw Error("unknown array mode");
 }
 
-/// Compare-exchange under the mode's regime.
+/// A chunk's concatenated operand region as a generator of slot j, stage
+/// by stage (stage_slots each).  Call with j = 0, 1, 2, ... in order — as
+/// put_elems_gather does — so the stage cursor only moves forward.
 template <typename T>
-CexResult<T> apply_cex(ArrayState<T>& st, std::size_t local, T expected,
-                       T desired) {
-  T* slot = st.local_slab().data() + local;
-  switch (st.mode) {
-    case ArrayMode::kAtomicNative:
-      if constexpr (kNativeAtomicCapable<T>) {
-        std::atomic_ref<T> ref(*slot);
-        T exp = expected;
-        const bool ok =
-            ref.compare_exchange_strong(exp, desired,
-                                        std::memory_order_acq_rel);
-        return {exp, static_cast<std::uint8_t>(ok)};
-      }
-      throw Error("native atomic mode on incompatible element type");
-    case ArrayMode::kAtomicGeneric: {
-      ByteLockGuard guard(st.elem_locks[local]);
-      if (*slot == expected) {
-        *slot = desired;
-        return {expected, 1};
-      }
-      return {*slot, 0};
+auto operand_walk(std::span<const FusedStageRec<T>> recs,
+                  std::span<const std::size_t> pos, std::size_t n) {
+  return [recs, pos, n, si = std::size_t{0},
+          base = std::size_t{0}](std::size_t j) mutable {
+    while (j - base >= stage_slots(recs[si].wire(), n)) {
+      base += stage_slots(recs[si].wire(), n);
+      ++si;
     }
-    case ArrayMode::kLocalLock: {
-      std::unique_lock lock(*st.local_lock);
-      if (*slot == expected) {
-        *slot = desired;
-        return {expected, 1};
-      }
-      return {*slot, 0};
-    }
-    case ArrayMode::kUnsafe: {
-      // Non-atomic check-then-store (see apply_one): relaxed accesses keep
-      // the by-design race tear-free without adding a synchronization
-      // guarantee UnsafeArray does not offer.
-      if constexpr (kNativeAtomicCapable<T>) {
-        std::atomic_ref<T> ref(*slot);
-        const T cur = ref.load(std::memory_order_relaxed);
-        if (cur == expected) {
-          ref.store(desired, std::memory_order_relaxed);
-          return {expected, 1};
-        }
-        return {cur, 0};
-      } else {
-        if (*slot == expected) {
-          *slot = desired;
-          return {expected, 1};
-        }
-        return {*slot, 0};
-      }
-    }
-    case ArrayMode::kReadOnly:
-      throw Error("compare_exchange on ReadOnlyArray");
-  }
-  throw Error("unknown array mode");
+    return recs[si].operand(j - base, pos);
+  };
 }
 
-/// Apply a whole batch (already translated to local indices), writing fetch
-/// results into the caller-provided sink — dispatchers point `results` at
-/// the gather's output slots (or an arena span) so the owner side allocates
-/// nothing.  `results` may be null when `fetch` is false.  Charges
-/// per-element safety costs to the PE clock so Fig. 2/3 reflect the paper's
-/// observed overhead ordering.
+/// One stage applied to element j's value `cur`; `o` points at the stage's
+/// operand region.  A compare-exchange stores its desired value only when
+/// `cur` equals the region's leading `expected`.
 template <typename T>
-void apply_batch_sink(ArrayState<T>& st, OpCode op, bool fetch, PairMode pair,
-                      std::span<const std::uint64_t> locals,
-                      std::span<const T> vals, T* results) {
-  const std::size_t n =
-      pair == PairMode::kOneIdxManyVals ? vals.size() : locals.size();
-
-  auto& lamellae = st.world->lamellae();
-  const auto& params = lamellae.params();
-  double cost = 0.0;
-  switch (st.mode) {
-    case ArrayMode::kAtomicNative:
-      cost = params.atomic_store_ns * static_cast<double>(n);
-      break;
-    case ArrayMode::kAtomicGeneric:
-      cost = params.generic_mutex_ns * static_cast<double>(n);
-      break;
-    case ArrayMode::kLocalLock:
-      cost = params.rwlock_acquire_ns +
-             static_cast<double>(n * sizeof(T)) / params.memcpy_bytes_per_ns;
-      break;
-    default:
-      cost = static_cast<double>(n * sizeof(T)) / params.memcpy_bytes_per_ns;
-      break;
-  }
-  lamellae.charge(cost);
-
-  if (st.mode == ArrayMode::kLocalLock && n > 1) {
-    // Whole-batch exclusive lock, then direct application.
-    std::unique_lock lock(*st.local_lock);
-    const ArrayMode saved = st.mode;
-    st.mode = ArrayMode::kUnsafe;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t local = pair == PairMode::kOneIdxManyVals
-                                    ? locals[0]
-                                    : locals[j];
-      const T operand = vals.empty()
-                            ? T{}
-                            : (pair == PairMode::kManyIdxOneVal ? vals[0]
-                                                                : vals[j]);
-      const T prev = apply_one(st, local, op, operand);
-      if (fetch) results[j] = prev;
-    }
-    st.mode = saved;
-    return;
-  }
-
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t local =
-        pair == PairMode::kOneIdxManyVals ? locals[0] : locals[j];
-    const T operand =
-        vals.empty() ? T{}
-                     : (pair == PairMode::kManyIdxOneVal ? vals[0] : vals[j]);
-    const T prev = apply_one(st, local, op, operand);
-    if (fetch) results[j] = prev;
-  }
+T fold_stage(const FusedStage& s, const T* o, std::size_t j, T cur) {
+  const std::size_t at = s.per_elem != 0 ? j : 0;
+  if (s.op == OpCode::kCompareExchange) return cur == o[0] ? o[1 + at] : cur;
+  return combine(s.op, cur, o[at]);
 }
 
-/// Apply a fused op chain to a batch of local slots: per element, one load,
-/// a fold of every stage through `combine`, one store — regardless of chain
-/// length.  `ops` is the concatenated operand region (per-element stages
-/// contribute locals.size() values, shared stages one).  When `results` is
-/// non-null, results[j] receives the *post-chain* value of element j (the
-/// chain's gather terminal observes what it just wrote; a pure gather is an
-/// empty chain).  Safety regimes match the mode: kAtomicNative folds the
-/// whole chain in a single CAS loop (the chain is element-atomic — stronger
-/// than k separate atomic ops), kAtomicGeneric holds the element byte lock
-/// across the fold, kLocalLock takes the PE-wide lock once for the batch,
-/// kUnsafe/kReadOnly use relaxed tear-free accesses like apply_one.
+/// Apply an op chain to a batch of local slots: per element, one load, a
+/// fold of every stage, one store — regardless of chain length.  Every
+/// element op runs through here: eager ops are one-stage chains and loads
+/// are empty ones.  `ops` is the concatenated operand region (stage_slots
+/// per stage).  When `results` is non-null, results[j] receives element j's
+/// value from before the chain (FetchMode::kPre) or after it (kPost).
+/// Safety regimes match the mode: kAtomicNative folds the whole chain in a
+/// single CAS loop (the chain is element-atomic — stronger than k separate
+/// atomic ops), kAtomicGeneric holds the element byte lock across the fold,
+/// kLocalLock takes the PE-wide lock once for the batch, kUnsafe/kReadOnly
+/// use relaxed tear-free accesses like apply_one.  Charges per-element
+/// safety costs to the PE clock so Fig. 2/3 reflect the paper's observed
+/// overhead ordering.
 template <typename T>
 void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
                       std::span<const T> ops,
-                      std::span<const std::uint64_t> locals, T* results) {
+                      std::span<const std::uint64_t> locals, FetchMode fetch,
+                      T* results) {
   const std::size_t n = locals.size();
   if (n == 0) return;
   const bool mutates = !stages.empty();
+  const bool pre = fetch == FetchMode::kPre;
   if (st.mode == ArrayMode::kReadOnly && mutates) {
     throw Error("fused chain with mutating stages on ReadOnlyArray");
   }
@@ -537,10 +481,10 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
   lamellae.charge(cost);
 
   auto fold = [&](std::size_t j, T cur) {
-    std::size_t ob = 0;
+    const T* o = ops.data();
     for (const FusedStage& s : stages) {
-      cur = combine(s.op, cur, s.per_elem != 0 ? ops[ob + j] : ops[ob]);
-      ob += s.per_elem != 0 ? n : 1;
+      cur = fold_stage(s, o, j, cur);
+      o += stage_slots(s, n);
     }
     return cur;
   };
@@ -551,16 +495,19 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
     case ArrayMode::kReadOnly: {
       for (std::size_t j = 0; j < n; ++j) {
         T* slot = slab + locals[j];
+        T cur;
         T next;
         if constexpr (kNativeAtomicCapable<T>) {
           std::atomic_ref<T> ref(*slot);
-          next = fold(j, ref.load(std::memory_order_relaxed));
+          cur = ref.load(std::memory_order_relaxed);
+          next = fold(j, cur);
           if (mutates) ref.store(next, std::memory_order_relaxed);
         } else {
-          next = fold(j, *slot);
+          cur = *slot;
+          next = fold(j, cur);
           if (mutates) *slot = next;
         }
-        if (results != nullptr) results[j] = next;
+        if (results != nullptr) results[j] = pre ? cur : next;
       }
       return;
     }
@@ -568,13 +515,27 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
       if constexpr (kNativeAtomicCapable<T>) {
         if (stages.size() == 1) {
           // One stage has nothing to fold: the dedicated native RMW
-          // (fetch_add &c. in apply_one) beats the load+CAS round trip the
-          // general chain loop pays.
+          // (fetch_add &c. in apply_one, one compare_exchange_strong for a
+          // compare-exchange) beats the load+CAS round trip the general
+          // chain loop pays.
           const FusedStage s = stages[0];
+          if (s.op == OpCode::kCompareExchange) {
+            for (std::size_t j = 0; j < n; ++j) {
+              const T want = ops[1 + (s.per_elem != 0 ? j : 0)];
+              T cur = ops[0];
+              const bool ok = std::atomic_ref<T>(slab[locals[j]])
+                                  .compare_exchange_strong(
+                                      cur, want, std::memory_order_acq_rel);
+              if (results != nullptr) results[j] = pre || !ok ? cur : want;
+            }
+            return;
+          }
           for (std::size_t j = 0; j < n; ++j) {
             const T operand = s.per_elem != 0 ? ops[j] : ops[0];
             const T prev = apply_one<T>(st, locals[j], s.op, operand);
-            if (results != nullptr) results[j] = combine(s.op, prev, operand);
+            if (results != nullptr) {
+              results[j] = pre ? prev : combine(s.op, prev, operand);
+            }
           }
           return;
         }
@@ -588,7 +549,7 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
               next = fold(j, cur);
             }
           }
-          if (results != nullptr) results[j] = next;
+          if (results != nullptr) results[j] = pre ? cur : next;
         }
         return;
       }
@@ -598,9 +559,10 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
       for (std::size_t j = 0; j < n; ++j) {
         ByteLockGuard guard(st.elem_locks[locals[j]]);
         T* slot = slab + locals[j];
-        const T next = fold(j, *slot);
+        const T cur = *slot;
+        const T next = fold(j, cur);
         if (mutates) *slot = next;
-        if (results != nullptr) results[j] = next;
+        if (results != nullptr) results[j] = pre ? cur : next;
       }
       return;
     }
@@ -614,9 +576,10 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
       }
       for (std::size_t j = 0; j < n; ++j) {
         T* slot = slab + locals[j];
-        const T next = fold(j, *slot);
+        const T cur = *slot;
+        const T next = fold(j, cur);
         if (mutates) *slot = next;
-        if (results != nullptr) results[j] = next;
+        if (results != nullptr) results[j] = pre ? cur : next;
       }
       return;
     }

@@ -16,6 +16,7 @@
 // regime; iterators and reductions are provided via the shared base.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -242,6 +243,21 @@ class ArrayBase {
     const_cast<Team&>(st.team).barrier();
   }
 
+  // ---- element ops (paper Sec. III-F3) ----
+  //
+  // Every element op is a chain over its indices (expr_fuse.hpp): one
+  // stage, or none for loads.  Fetch forms return the values from before
+  // the stage.
+
+  Future<T> load(global_index i) {
+    return chain<T>({&i, 1}, nullptr, FetchMode::kPre, first_value);
+  }
+
+  Future<std::vector<T>> batch_load(std::span<const global_index> idxs) {
+    return chain<std::vector<T>>(idxs, nullptr, FetchMode::kPre,
+                                 std::identity{});
+  }
+
   // ---- iterators (paper Sec. III-F4) ----
 
   /// One-sided parallel iteration over the calling PE's local elements.
@@ -314,84 +330,88 @@ class ArrayBase {
     if (start + n > view_len_) throw_bounds("array range", start + n, view_len_);
   }
 
-  /// Single-element non-fetch op.
+  static T first_value(std::vector<T> out) { return out[0]; }
+  static Unit no_value(std::vector<T>) { return Unit{}; }
+
+  /// One element op as a chain over `idxs`: the stage `rec`, or none (a
+  /// load) when null.  `finish` maps the fetched values, in caller order,
+  /// to the future's value.
+  template <typename R, typename Finish>
+  Future<R> chain(std::span<const global_index> idxs,
+                  const FusedStageRec<T>* rec, FetchMode fetch,
+                  Finish finish) {
+    for (auto i : idxs) check_range(i, 1);
+    return array_detail::dispatch_chain<R>(
+        state_, view_start_, idxs,
+        std::span<const FusedStageRec<T>>(rec, rec != nullptr ? 1 : 0), fetch,
+        std::move(finish));
+  }
+
+  static FetchMode pre_if(bool fetch) {
+    return fetch ? FetchMode::kPre : FetchMode::kNone;
+  }
+
   Future<Unit> single_op(OpCode op, global_index i, T v) {
-    check_range(i, 1);
-    ArrayState<T>& st = *state_;
-    const Placement p = place(i);
-    if (p.rank == st.my_rank()) {
-      array_detail::apply_one<T>(st, p.local_index, op, v);
-      return ready_future(Unit{});
-    }
-    Promise<Unit> promise;
-    // Stack-backed spans: send_cb serializes synchronously, so the storage
-    // only needs to outlive this call.
-    const std::uint64_t one_local[1] = {p.local_index};
-    const T one_val[1] = {v};
-    ArrayOpAm<T> am;
-    am.state = state_;
-    am.op = op;
-    am.fetch = 0;
-    am.pair = PairMode::kOneToOne;
-    am.locals = std::span<const std::uint64_t>{one_local, 1};
-    am.vals = std::span<const T>{one_val, 1};
-    st.world->engine().send_cb(
-        st.team.world_pe(p.rank), std::move(am),
-        [promise](ValSpan<T>) mutable { promise.set_value(Unit{}); });
-    return promise.future();
+    const FusedStageRec<T> rec{op, false, v};
+    return chain<Unit>({&i, 1}, &rec, FetchMode::kNone, no_value);
   }
 
-  /// Single-element fetch op (returns the previous value).
   Future<T> single_fetch(OpCode op, global_index i, T v) {
-    check_range(i, 1);
-    ArrayState<T>& st = *state_;
-    const Placement p = place(i);
-    if (p.rank == st.my_rank()) {
-      return ready_future(
-          array_detail::apply_one<T>(st, p.local_index, op, v));
-    }
-    Promise<T> promise;
-    const std::uint64_t one_local[1] = {p.local_index};
-    const T one_val[1] = {v};
-    ArrayOpAm<T> am;
-    am.state = state_;
-    am.op = op;
-    am.fetch = 1;
-    am.pair = PairMode::kOneToOne;
-    am.locals = std::span<const std::uint64_t>{one_local, 1};
-    am.vals = std::span<const T>{one_val, 1};
-    st.world->engine().send_cb(
-        st.team.world_pe(p.rank), std::move(am),
-        [promise](ValSpan<T> r) mutable {
-          promise.set_value(r.view.empty() ? T{} : r.view[0]);
-        });
-    return promise.future();
+    const FusedStageRec<T> rec{op, false, v};
+    return chain<T>({&i, 1}, &rec, FetchMode::kPre, first_value);
   }
 
+  /// Many indices - one value.
   Future<std::vector<T>> batch(OpCode op, bool fetch,
                                std::span<const global_index> idxs, T v) {
-    for (auto i : idxs) check_range(i, 1);
-    const T vals[1] = {v};
-    return array_detail::dispatch_op<T>(state_, view_start_, op, fetch, idxs,
-                                        std::span<const T>(vals, 1));
+    const FusedStageRec<T> rec{op, false, v};
+    return chain<std::vector<T>>(idxs, &rec, pre_if(fetch), std::identity{});
   }
 
+  /// Many indices - many values, one-to-one.
   Future<std::vector<T>> batch(OpCode op, bool fetch,
                                std::span<const global_index> idxs,
                                std::span<const T> vals) {
     if (idxs.size() != vals.size()) {
       throw Error("batch op: indices and values must pair one-to-one");
     }
-    for (auto i : idxs) check_range(i, 1);
-    return array_detail::dispatch_op<T>(state_, view_start_, op, fetch, idxs,
-                                        vals);
+    const FusedStageRec<T> rec{op, true, T{}, vals.data()};
+    return chain<std::vector<T>>(idxs, &rec, pre_if(fetch), std::identity{});
   }
 
+  /// One index - many values: the index repeats once per operand, so the
+  /// operands of each chunk fold in order on the owner, one pre-value each.
   Future<std::vector<T>> batch_one_idx(OpCode op, bool fetch, global_index i,
                                        std::span<const T> vals) {
     check_range(i, 1);
-    return array_detail::dispatch_op_one_idx<T>(state_, view_start_, op,
-                                                fetch, i, vals);
+    ArenaFrame frame;
+    auto idxs = frame.arena().alloc_span<global_index>(vals.size());
+    std::fill(idxs.begin(), idxs.end(), i);
+    return batch(op, fetch, idxs, vals);
+  }
+
+  /// Compare-exchange as a kCompareExchange stage: the owner returns the
+  /// pre-stage values and the outcomes are rebuilt from them here.
+  Future<CexResult<T>> cex_one(global_index i, T expected, T desired) {
+    const FusedStageRec<T> rec{OpCode::kCompareExchange, false, desired,
+                               nullptr, expected};
+    return chain<CexResult<T>>({&i, 1}, &rec, FetchMode::kPre,
+                               [expected](std::vector<T> prev) {
+                                 return cex_result(prev[0], expected);
+                               });
+  }
+
+  Future<std::vector<CexResult<T>>> cex_batch(
+      std::span<const global_index> idxs, const FusedStageRec<T>& rec) {
+    return chain<std::vector<CexResult<T>>>(
+        idxs, &rec, FetchMode::kPre,
+        [expected = rec.expected](std::vector<T> prev) {
+          std::vector<CexResult<T>> out(prev.size());
+          for (std::size_t j = 0; j < prev.size(); ++j) {
+            out[j] = cex_result(prev[j], expected);
+          }
+          return out;
+        });
   }
 
   void convert_precheck(const char* what) const {
@@ -497,50 +517,26 @@ class ArrayBase {
   LAMELLAR_DEFINE_ELEMENT_OP(store, OpCode::kStore)                           \
   LAMELLAR_DEFINE_ELEMENT_OP(swap, OpCode::kSwap)                             \
                                                                               \
-  Future<T> load(global_index i) {                                            \
-    return this->single_fetch(OpCode::kLoad, i, T{});                         \
-  }                                                                           \
-  Future<std::vector<T>> batch_load(std::span<const global_index> idxs) {     \
-    return this->batch(OpCode::kLoad, true, idxs, T{});                       \
-  }                                                                           \
   Future<CexResult<T>> compare_exchange(global_index i, T expected,           \
                                         T desired) {                          \
-    this->check_range(i, 1);                                                  \
-    ArrayState<T>& st = *this->state_;                                        \
-    const Placement p = this->place(i);                                       \
-    if (p.rank == st.my_rank()) {                                             \
-      return ready_future(array_detail::apply_cex<T>(st, p.local_index,       \
-                                                     expected, desired));     \
-    }                                                                         \
-    Promise<CexResult<T>> promise;                                            \
-    const std::uint64_t one_local[1] = {p.local_index};                       \
-    const T one_desired[1] = {desired};                                       \
-    ArrayCexAm<T> am;                                                         \
-    am.state = this->state_;                                                  \
-    am.locals = std::span<const std::uint64_t>{one_local, 1};                 \
-    am.expected = expected;                                                   \
-    am.desired = std::span<const T>{one_desired, 1};                          \
-    st.world->engine().send_cb(                                               \
-        st.team.world_pe(p.rank), std::move(am),                              \
-        [promise](ValSpan<CexResult<T>> r) mutable {                          \
-          promise.set_value(r.view.empty() ? CexResult<T>{} : r.view[0]);     \
-        });                                                                   \
-    return promise.future();                                                  \
+    return this->cex_one(i, expected, desired);                               \
   }                                                                           \
   Future<std::vector<CexResult<T>>> batch_compare_exchange(                   \
       std::span<const global_index> idxs, T expected,                         \
       std::span<const T> desired) {                                           \
-    for (auto i : idxs) this->check_range(i, 1);                              \
-    return array_detail::dispatch_cex<T>(this->state_, this->view_start_,     \
-                                         expected, idxs, desired);            \
+    if (desired.size() == 1) {                                                \
+      return batch_compare_exchange(idxs, expected, desired[0]);              \
+    }                                                                         \
+    if (idxs.size() != desired.size()) {                                      \
+      throw Error("batch_compare_exchange: one desired value per index");     \
+    }                                                                         \
+    return this->cex_batch(idxs, {OpCode::kCompareExchange, true, T{},        \
+                                  desired.data(), expected});                 \
   }                                                                           \
   Future<std::vector<CexResult<T>>> batch_compare_exchange(                   \
       std::span<const global_index> idxs, T expected, T desired) {            \
-    for (auto i : idxs) this->check_range(i, 1);                              \
-    const T des[1] = {desired};                                               \
-    return array_detail::dispatch_cex<T>(this->state_, this->view_start_,     \
-                                         expected, idxs,                      \
-                                         std::span<const T>(des, 1));         \
+    return this->cex_batch(idxs, {OpCode::kCompareExchange, false, desired,   \
+                                  nullptr, expected});                        \
   }
 
 /// UnsafeArray: every operation available, including direct RDMA that
@@ -618,14 +614,6 @@ class ReadOnlyArray : public ArrayBase<ReadOnlyArray<T>, T> {
 
   Future<Unit> put(global_index, std::span<const T>) = delete;
   void fill(T) = delete;
-
-  Future<T> load(global_index i) {
-    return this->single_fetch(OpCode::kLoad, i, T{});
-  }
-
-  Future<std::vector<T>> batch_load(std::span<const global_index> idxs) {
-    return this->batch(OpCode::kLoad, true, idxs, T{});
-  }
 
   /// Direct RDMA get — safe: the underlying data is immutable.
   std::vector<T> get_direct(global_index start, std::size_t len) {

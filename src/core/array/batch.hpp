@@ -1,20 +1,17 @@
-// Batch dispatch for array element operations (paper Sec. III-F3).
+// Batch planning for array element operations (paper Sec. III-F3).
 //
 // The runtime "calculates the correct PEs and offsets for each array index,
 // batching operations by destination PE within a single message", splitting
 // batches at the configured op limit (default 10,000, the value the paper's
-// experiments use).  Fetch results are scattered back into caller order.
-// Local chunks are applied directly (owner == caller), remote chunks travel
-// as ArrayOpAm / ArrayCexAm.
+// experiments use).  plan_chunks is that step for every element op; the
+// chain dispatcher (expr_fuse.hpp) applies local chunks directly and sends
+// remote ones as ArrayFusedAm.  The range helpers below serve put/get.
 //
 // Memory discipline (DESIGN.md §9): planning is backed by the calling
 // thread's ScratchArena — flat index/position arrays bucketed by rank, a
 // chunk table of views into them — and rewound when the dispatch frame
 // ends, so a steady-state loop of batch calls performs no planner heap
 // allocation (array.plan_allocs counts arena growth; flat after warm-up).
-// Remote chunks serialize their index spans and operand gathers straight
-// into the aggregation lane; completions scatter into disjoint caller
-// positions and count down an atomic — no gather mutex anywhere.
 #pragma once
 
 #include <atomic>
@@ -116,28 +113,6 @@ BatchPlan plan_chunks(ScratchArena& arena, const ArrayState<T>& st,
 inline constexpr std::size_t kIdentityScatter =
     static_cast<std::size_t>(-1);
 
-/// Completion state shared by a batch's chunks.  Concurrent completions
-/// scatter into disjoint elements of `out` (each caller position belongs to
-/// exactly one chunk) and count down `remaining` — no lock; the release
-/// fetch_sub publishes every scatter to whoever observes zero.
-template <typename R>
-struct BatchGather {
-  std::vector<R> out;
-  /// Caller positions, chunk-major (plan order); only populated for
-  /// multi-chunk fetch batches — the plan's own arrays die with the
-  /// dispatch frame, completions can outlive it.
-  std::vector<std::size_t> positions;
-  std::atomic<std::size_t> remaining{0};
-  Promise<std::vector<R>> promise;
-};
-
-template <typename R>
-void complete_one(const std::shared_ptr<BatchGather<R>>& gather) {
-  if (gather->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    gather->promise.set_value(std::move(gather->out));
-  }
-}
-
 /// Completion-only gather (no results): counts chunks into a Future<Unit>.
 struct UnitGather {
   std::atomic<std::size_t> remaining{0};
@@ -148,255 +123,6 @@ inline void finish_unit(const std::shared_ptr<UnitGather>& gather) {
   if (gather->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     gather->promise.set_value(Unit{});
   }
-}
-
-/// Scatter one chunk's results (borrowed reply view) into the gather.
-/// `pos_offset` indexes gather->positions, or kIdentityScatter for 1:1.
-template <typename R>
-void scatter_chunk(const std::shared_ptr<BatchGather<R>>& gather,
-                   std::size_t pos_offset, std::span<const R> results) {
-  if (pos_offset == kIdentityScatter) {
-    for (std::size_t j = 0; j < results.size(); ++j) {
-      gather->out[j] = results[j];
-    }
-  } else {
-    for (std::size_t j = 0; j < results.size(); ++j) {
-      gather->out[gather->positions[pos_offset + j]] = results[j];
-    }
-  }
-}
-
-/// Dispatch an element-op batch.  `vals` has size idxs.size() (one-to-one)
-/// or 1 (many-indices-one-value).  Returns fetch results in caller order
-/// (empty vector for non-fetch ops, completing when all chunks applied).
-template <typename T>
-Future<std::vector<T>> dispatch_op(const Darc<ArrayState<T>>& state,
-                                   std::size_t view_start, OpCode op,
-                                   bool fetch,
-                                   std::span<const global_index> idxs,
-                                   std::span<const T> vals) {
-  ArrayState<T>& st = *state;
-  const PairMode pair = vals.size() <= 1 && idxs.size() != 1
-                            ? PairMode::kManyIdxOneVal
-                            : PairMode::kOneToOne;
-  ScratchArena& arena = ScratchArena::local();
-  const std::uint64_t grows_before = arena.grow_events();
-  ArenaFrame frame(arena);
-  // Positions drive fetch-result scatter and one-to-one operand gather;
-  // a non-fetch many-one batch (the histogram hot path) needs neither.
-  const bool need_pos = fetch || pair == PairMode::kOneToOne;
-  auto plan = plan_chunks(arena, st, idxs, view_start,
-                          st.world->config().batch_op_limit, need_pos);
-  st.ops_batched->inc(idxs.size());
-
-  auto gather = std::make_shared<BatchGather<T>>();
-  gather->remaining.store(plan.chunks.size(), std::memory_order_relaxed);
-  if (plan.chunks.empty()) {
-    st.plan_allocs->inc(arena.grow_events() - grows_before);
-    gather->promise.set_value({});
-    return gather->promise.future();
-  }
-  if (fetch) gather->out.resize(idxs.size());
-  const bool multi = plan.chunks.size() > 1;
-  if (fetch && multi) {
-    // Completions may outlive this frame; park the position table on the
-    // gather before any send can trigger a progress-loop completion.
-    gather->positions.assign(plan.pos_flat.begin(), plan.pos_flat.end());
-  }
-  auto future = gather->promise.future();
-
-  const std::size_t my_rank = st.my_rank();
-  for (const ChunkRef& chunk : plan.chunks) {
-    const std::span<const std::uint64_t> locals =
-        plan.locals_flat.subspan(chunk.offset, chunk.len);
-    const std::span<const std::size_t> pos =
-        need_pos ? plan.pos_flat.subspan(chunk.offset, chunk.len)
-                 : std::span<const std::size_t>{};
-    if (chunk.rank == my_rank) {
-      // Owner == caller: apply in place.  Single-chunk batches sink fetch
-      // results straight into the output (identity scatter); multi-chunk
-      // ones stage in the arena and scatter by caller position.
-      T* sink = nullptr;
-      std::span<T> staged;
-      if (fetch) {
-        if (multi) {
-          staged = arena.alloc_span<T>(chunk.len);
-          sink = staged.data();
-        } else {
-          sink = gather->out.data();
-        }
-      }
-      if (pair == PairMode::kOneToOne && multi) {
-        auto ops = arena.alloc_span<T>(chunk.len);
-        for (std::size_t j = 0; j < chunk.len; ++j) ops[j] = vals[pos[j]];
-        apply_batch_sink<T>(st, op, fetch, pair, locals, ops, sink);
-      } else {
-        // Single chunk => pos is the identity, so one-to-one operands are
-        // already aligned with locals; many-one operands are shared.
-        apply_batch_sink<T>(st, op, fetch, pair, locals, vals, sink);
-      }
-      if (fetch && multi) {
-        for (std::size_t j = 0; j < chunk.len; ++j) {
-          gather->out[pos[j]] = staged[j];
-        }
-      }
-      complete_one(gather);
-      continue;
-    }
-    ArrayOpAm<T> am;
-    am.state = state;
-    am.op = op;
-    am.fetch = fetch ? 1 : 0;
-    am.pair = pair;
-    am.locals = locals;
-    if (pair == PairMode::kOneToOne) {
-      am.vals_base = vals.data();
-      am.gather_pos = pos;
-    } else {
-      am.vals = vals;
-    }
-    const std::size_t val_count =
-        pair == PairMode::kOneToOne ? chunk.len : vals.size();
-    st.chunk_bytes_inline->inc(locals.size_bytes() + val_count * sizeof(T));
-    st.world->engine().send_cb(
-        st.team.world_pe(chunk.rank), std::move(am),
-        [gather, fetch,
-         pos_offset = multi ? chunk.offset : kIdentityScatter](ValSpan<T> r) {
-          if (fetch) scatter_chunk(gather, pos_offset, r.view);
-          complete_one(gather);
-        });
-  }
-  st.plan_allocs->inc(arena.grow_events() - grows_before);
-  return future;
-}
-
-/// Dispatch the One Index - Many Values form: every operand applies (in
-/// order) to the single element at `idx`.  Chunks are contiguous slices of
-/// the caller's operand buffer, so no planner or staging is needed at all —
-/// operands serialize straight from the caller's memory and fetch results
-/// sink at a fixed offset.
-template <typename T>
-Future<std::vector<T>> dispatch_op_one_idx(const Darc<ArrayState<T>>& state,
-                                           std::size_t view_start, OpCode op,
-                                           bool fetch, global_index idx,
-                                           std::span<const T> vals) {
-  ArrayState<T>& st = *state;
-  const Placement p = st.map.place(view_start + idx);
-  const std::size_t limit = st.world->config().batch_op_limit;
-  auto gather = std::make_shared<BatchGather<T>>();
-  gather->remaining.store(ceil_div(std::max<std::size_t>(vals.size(), 1),
-                                   limit),
-                          std::memory_order_relaxed);
-  if (vals.empty()) {
-    gather->promise.set_value({});
-    return gather->promise.future();
-  }
-  if (fetch) gather->out.resize(vals.size());
-  auto future = gather->promise.future();
-  st.ops_batched->inc(vals.size());
-  const std::size_t my_rank = st.my_rank();
-  const std::uint64_t one_local[1] = {p.local_index};
-  for (std::size_t off = 0; off < vals.size(); off += limit) {
-    const std::size_t n = std::min(limit, vals.size() - off);
-    const std::span<const T> chunk_vals = vals.subspan(off, n);
-    if (p.rank == my_rank) {
-      apply_batch_sink<T>(st, op, fetch, PairMode::kOneIdxManyVals,
-                          std::span<const std::uint64_t>{one_local, 1},
-                          chunk_vals,
-                          fetch ? gather->out.data() + off : nullptr);
-      complete_one(gather);
-      continue;
-    }
-    ArrayOpAm<T> am;
-    am.state = state;
-    am.op = op;
-    am.fetch = fetch ? 1 : 0;
-    am.pair = PairMode::kOneIdxManyVals;
-    am.locals = std::span<const std::uint64_t>{one_local, 1};
-    am.vals = chunk_vals;
-    st.chunk_bytes_inline->inc(sizeof(one_local) + chunk_vals.size_bytes());
-    st.world->engine().send_cb(
-        st.team.world_pe(p.rank), std::move(am),
-        [gather, off, fetch](ValSpan<T> r) {
-          if (fetch) {
-            for (std::size_t j = 0; j < r.view.size(); ++j) {
-              gather->out[off + j] = r.view[j];
-            }
-          }
-          complete_one(gather);
-        });
-  }
-  return future;
-}
-
-/// Dispatch a compare-exchange batch (one shared `expected`, per-index
-/// `desired` or one shared desired value).  Shares the arena planner with
-/// dispatch_op; results always come back (cex is inherently fetching).
-template <typename T>
-Future<std::vector<CexResult<T>>> dispatch_cex(
-    const Darc<ArrayState<T>>& state, std::size_t view_start, T expected,
-    std::span<const global_index> idxs, std::span<const T> desired) {
-  ArrayState<T>& st = *state;
-  ScratchArena& arena = ScratchArena::local();
-  const std::uint64_t grows_before = arena.grow_events();
-  ArenaFrame frame(arena);
-  auto plan = plan_chunks(arena, st, idxs, view_start,
-                          st.world->config().batch_op_limit,
-                          /*want_positions=*/true);
-  st.ops_batched->inc(idxs.size());
-
-  auto gather = std::make_shared<BatchGather<CexResult<T>>>();
-  gather->remaining.store(plan.chunks.size(), std::memory_order_relaxed);
-  if (plan.chunks.empty()) {
-    st.plan_allocs->inc(arena.grow_events() - grows_before);
-    gather->promise.set_value({});
-    return gather->promise.future();
-  }
-  gather->out.resize(idxs.size());
-  const bool multi = plan.chunks.size() > 1;
-  if (multi) {
-    gather->positions.assign(plan.pos_flat.begin(), plan.pos_flat.end());
-  }
-  auto future = gather->promise.future();
-
-  const bool shared_desired = desired.size() == 1 && idxs.size() != 1;
-  const std::size_t my_rank = st.my_rank();
-  for (const ChunkRef& chunk : plan.chunks) {
-    const std::span<const std::uint64_t> locals =
-        plan.locals_flat.subspan(chunk.offset, chunk.len);
-    const std::span<const std::size_t> pos =
-        plan.pos_flat.subspan(chunk.offset, chunk.len);
-    if (chunk.rank == my_rank) {
-      for (std::size_t j = 0; j < chunk.len; ++j) {
-        const T want = shared_desired ? desired[0] : desired[pos[j]];
-        gather->out[multi ? pos[j] : j] =
-            apply_cex<T>(st, locals[j], expected, want);
-      }
-      complete_one(gather);
-      continue;
-    }
-    ArrayCexAm<T> am;
-    am.state = state;
-    am.expected = expected;
-    am.locals = locals;
-    if (shared_desired) {
-      am.desired = desired;
-    } else {
-      am.desired_base = desired.data();
-      am.gather_pos = pos;
-    }
-    const std::size_t want_count = shared_desired ? 1 : chunk.len;
-    st.chunk_bytes_inline->inc(locals.size_bytes() + want_count * sizeof(T));
-    st.world->engine().send_cb(
-        st.team.world_pe(chunk.rank), std::move(am),
-        [gather, pos_offset = multi ? chunk.offset : kIdentityScatter](
-            ValSpan<CexResult<T>> r) {
-          scatter_chunk(gather, pos_offset, r.view);
-          complete_one(gather);
-        });
-  }
-  st.plan_allocs->inc(arena.grow_events() - grows_before);
-  return future;
 }
 
 /// Contiguous owner ranges of the global span [start, start+len), in order.

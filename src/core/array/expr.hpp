@@ -263,7 +263,8 @@ class LazyChain {
     if (!run_) run_ = std::make_shared<array_detail::FusedRun<T>>();
     array_detail::fuse_dispatch<T>(
         state_, view_start_, open_idxs_,
-        std::span<const StageRec>(stages_.data(), nstages_), fetch, run_);
+        std::span<const StageRec>(stages_.data(), nstages_),
+        fetch ? FetchMode::kPost : FetchMode::kNone, run_);
     ++groups_;
     open_ = false;
     nstages_ = 0;

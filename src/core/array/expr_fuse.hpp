@@ -1,16 +1,17 @@
-// Fused lowering for lazy expression chains (DESIGN.md §11).
+// Chain lowering for every array element op (DESIGN.md §11).
 //
-// A flushed chain group — one index span plus the stage chain recorded
-// against it — lowers through exactly ONE plan_chunks pass and ONE
-// serialized AM per destination lane, no matter how many stages the chain
-// holds: the stage table and the concatenated operand regions ride in a
-// single ArrayFusedAm per chunk, written straight into the aggregation
-// lane with the zero-copy record writer (operand gathers happen during
-// that single write), and the owner applies the composed kernel in one
-// load-fold-store pass per element.  Planning and local staging live in
-// the calling thread's ScratchArena and rewind when the flush frame ends,
-// so fused dispatch inherits the eager path's steady-state zero-alloc
-// budget (array.plan_allocs).
+// Eager element ops dispatch as one-stage chains (loads as empty ones) and
+// lazy expression chains flush their groups here too.  A chain group — one
+// index span plus the stages recorded against it — lowers through exactly
+// ONE plan_chunks pass and ONE serialized AM per destination lane, no
+// matter how many stages the chain holds: the stage table and the
+// concatenated operand regions ride in a single ArrayFusedAm per chunk,
+// written straight into the aggregation lane with the zero-copy record
+// writer (operand gathers happen during that single write), and the owner
+// applies the composed kernel in one load-fold-store pass per element.
+// Planning and local staging live in the calling thread's ScratchArena and
+// rewind when the flush frame ends, so a steady-state loop of dispatches
+// performs no planner heap allocation (array.plan_allocs).
 #pragma once
 
 #include <atomic>
@@ -24,13 +25,13 @@
 namespace lamellar {
 namespace array_detail {
 
-/// Completion state shared by every chunk of every group a lazy chain
-/// dispatches.  `remaining` starts at 1 — the recorder's hold — so a group
-/// that completes while later groups are still being recorded can never
-/// fire the terminal early; the terminal stores `on_complete` and then
-/// releases the hold.  The fetch terminal's output and (for multi-chunk
-/// fetch groups) caller positions live here because chunk completions can
-/// outlive the dispatch frame.
+/// Completion state shared by every chunk of every group a chain
+/// dispatches (one group for an eager op).  `remaining` starts at 1 — the
+/// recorder's hold — so a group that completes while later groups are
+/// still being recorded can never fire the terminal early; the terminal
+/// stores `on_complete` and then releases the hold.  Fetched values and
+/// (for multi-chunk fetch groups) caller positions live here because chunk
+/// completions can outlive the dispatch frame.
 template <typename T>
 struct FusedRun {
   std::atomic<std::size_t> remaining{1};
@@ -47,16 +48,16 @@ struct FusedRun {
   }
 };
 
-/// Lower one fused group: a single plan pass over `idxs`, then per chunk
-/// either a local composed-kernel application or one ArrayFusedAm.  When
-/// `fetch` is set, post-chain element values scatter into run->out in
-/// caller order (the run's positions table serves multi-chunk scatter).
-/// Each dispatched chunk adds one count to run->remaining before any
-/// completion can observe it.
+/// Lower one chain group: a single plan pass over `idxs`, then per chunk
+/// either a local composed-kernel application or one ArrayFusedAm.  Unless
+/// `fetch` is kNone, the pre- or post-chain element values scatter into
+/// run->out in caller order (the run's positions table serves multi-chunk
+/// scatter).  Each dispatched chunk adds one count to run->remaining before
+/// any completion can observe it.
 template <typename T>
 void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
                    std::span<const global_index> idxs,
-                   std::span<const FusedStageRec<T>> recs, bool fetch,
+                   std::span<const FusedStageRec<T>> recs, FetchMode fetch,
                    const std::shared_ptr<FusedRun<T>>& run) {
   ArrayState<T>& st = *state;
   const std::size_t n = idxs.size();
@@ -69,13 +70,16 @@ void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
   ScratchArena& arena = ScratchArena::local();
   const std::uint64_t grows_before = arena.grow_events();
   ArenaFrame frame(arena);
-  const bool need_pos = fetch || any_per_elem;
+  const bool want = fetch != FetchMode::kNone;
+  // Positions drive fetch-result scatter and per-element operand gather; a
+  // non-fetch shared-operand batch (the histogram hot path) needs neither.
+  const bool need_pos = want || any_per_elem;
   auto plan = plan_chunks(arena, st, idxs, view_start,
                           st.world->config().batch_op_limit, need_pos);
-  // The chain applies k element ops per index in one pass (a pure gather
-  // is one load); account for all of them.
+  // The chain applies k element ops per index in one pass (a load is one
+  // op); account for all of them.
   st.ops_batched->inc(n * std::max<std::size_t>(k, 1));
-  st.fused_chain_len->record(k + (fetch ? 1 : 0));
+  st.fused_chain_len->record(k);
 
   if (plan.chunks.empty()) {
     st.plan_allocs->inc(arena.grow_events() - grows_before);
@@ -84,20 +88,10 @@ void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
 
   // The wire stage table, shared by every chunk of this group.
   auto hdrs = arena.alloc_span<FusedStage>(k);
-  std::size_t wire_vals_per_idx = 0;  // per-element operand count
-  std::size_t wire_shared_vals = 0;
-  for (std::size_t s = 0; s < k; ++s) {
-    hdrs[s] = FusedStage{recs[s].op,
-                         static_cast<std::uint8_t>(recs[s].per_elem ? 1 : 0)};
-    if (recs[s].per_elem) {
-      ++wire_vals_per_idx;
-    } else {
-      ++wire_shared_vals;
-    }
-  }
+  for (std::size_t s = 0; s < k; ++s) hdrs[s] = recs[s].wire();
 
   const bool multi = plan.chunks.size() > 1;
-  if (fetch) {
+  if (want) {
     run->out.resize(n);
     if (multi) {
       run->positions.assign(plan.pos_flat.begin(), plan.pos_flat.end());
@@ -113,27 +107,16 @@ void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
                  : std::span<const std::size_t>{};
     run->remaining.fetch_add(1, std::memory_order_relaxed);
     if (chunk.rank == my_rank) {
-      // Owner == caller: stage this chunk's concatenated operand region in
-      // the arena (per-element operands permuted into chunk order, shared
-      // scalars once) and run the same composed kernel the remote side
-      // runs, sinking fetch results straight into the run's output for
-      // single-chunk groups.
-      auto ops = arena.alloc_span<T>(chunk.len * wire_vals_per_idx +
-                                     wire_shared_vals);
-      std::size_t ob = 0;
-      for (std::size_t s = 0; s < k; ++s) {
-        if (recs[s].per_elem) {
-          for (std::size_t j = 0; j < chunk.len; ++j) {
-            ops[ob + j] = recs[s].vals[pos[j]];
-          }
-          ob += chunk.len;
-        } else {
-          ops[ob++] = recs[s].scalar;
-        }
-      }
+      // Owner == caller: stage this chunk's operand region in the arena
+      // (the same walk the serializer writes) and run the same composed
+      // kernel the remote side runs, sinking fetch results straight into
+      // the run's output for single-chunk groups.
+      auto ops = arena.alloc_span<T>(region_len(hdrs, chunk.len));
+      auto walk = operand_walk<T>(recs, pos, chunk.len);
+      for (std::size_t j = 0; j < ops.size(); ++j) ops[j] = walk(j);
       T* sink = nullptr;
       std::span<T> staged;
-      if (fetch) {
+      if (want) {
         if (multi) {
           staged = arena.alloc_span<T>(chunk.len);
           sink = staged.data();
@@ -141,8 +124,8 @@ void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
           sink = run->out.data();
         }
       }
-      apply_fused_sink<T>(st, hdrs, ops, locals, sink);
-      if (fetch && multi) {
+      apply_fused_sink<T>(st, hdrs, ops, locals, fetch, sink);
+      if (want && multi) {
         for (std::size_t j = 0; j < chunk.len; ++j) {
           run->out[pos[j]] = staged[j];
         }
@@ -153,20 +136,18 @@ void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
     ++remote_chunks;
     ArrayFusedAm<T> am;
     am.state = state;
-    am.fetch = fetch ? 1 : 0;
+    am.fetch = fetch;
     am.locals = locals;
     am.stages = hdrs;
-    am.recs = recs.data();
+    am.recs = recs;
     am.gather_pos = pos;
     st.chunk_bytes_inline->inc(locals.size_bytes() + hdrs.size_bytes() +
-                               (chunk.len * wire_vals_per_idx +
-                                wire_shared_vals) *
-                                   sizeof(T));
+                               region_len(hdrs, chunk.len) * sizeof(T));
     st.world->engine().send_cb(
         st.team.world_pe(chunk.rank), std::move(am),
-        [run, fetch,
+        [run, want,
          pos_offset = multi ? chunk.offset : kIdentityScatter](ValSpan<T> r) {
-          if (fetch) {
+          if (want) {
             if (pos_offset == kIdentityScatter) {
               for (std::size_t j = 0; j < r.view.size(); ++j) {
                 run->out[j] = r.view[j];
@@ -181,12 +162,35 @@ void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
         });
   }
   // Each remote chunk would have cost one AM per eager stage (plus one for
-  // the gather); the fused pass sends exactly one.
-  const std::size_t eager_ams = k + (fetch ? 1 : 0);
+  // a post-chain gather); the fused pass sends exactly one.
+  const std::size_t eager_ams = k + (fetch == FetchMode::kPost ? 1 : 0);
   if (eager_ams > 1) {
     st.fused_ams_saved->inc(remote_chunks * (eager_ams - 1));
   }
   st.plan_allocs->inc(arena.grow_events() - grows_before);
+}
+
+/// Dispatch one element op over `idxs` as a chain of zero or one stage
+/// (`recs`).  Once every chunk has applied, the future resolves with
+/// `finish` of the fetched values (caller order; empty for kNone).  The
+/// run's hold is released only after on_complete is set, so no completion
+/// can fire early.
+template <typename R, typename T, typename Finish>
+Future<R> dispatch_chain(const Darc<ArrayState<T>>& state,
+                         std::size_t view_start,
+                         std::span<const global_index> idxs,
+                         std::span<const FusedStageRec<T>> recs,
+                         FetchMode fetch, Finish finish) {
+  auto run = std::make_shared<FusedRun<T>>();
+  fuse_dispatch<T>(state, view_start, idxs, recs, fetch, run);
+  Promise<R> promise;
+  auto fut = promise.future();
+  run->on_complete = UniqueFunction<void()>{
+      [promise, self = run.get(), finish = std::move(finish)]() mutable {
+        promise.set_value(finish(std::move(self->out)));
+      }};
+  run->complete_one();
+  return fut;
 }
 
 }  // namespace array_detail

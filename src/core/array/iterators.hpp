@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/array/array_ams.hpp"
-#include "core/array/batch.hpp"
+#include "core/array/expr_fuse.hpp"
 
 namespace lamellar {
 namespace array_detail {
@@ -412,10 +412,9 @@ bool OneSidedIter<T>::refill() {
   for (std::size_t off = 0; off < window; off += step_) {
     idxs.push_back(cursor_ + off);
   }
-  auto fut = array_detail::dispatch_op<T>(
-      Darc<ArrayState<T>>(state_), view_start_, OpCode::kLoad, true, idxs,
-      std::span<const T>{});
-  buffer_ = st.world->block_on(std::move(fut));
+  // A zero-stage chain: the fused batch_load.
+  buffer_ = st.world->block_on(array_detail::dispatch_chain<std::vector<T>>(
+      state_, view_start_, idxs, {}, FetchMode::kPre, std::identity{}));
   buffer_pos_ = 0;
   cursor_ += window;
   return !buffer_.empty();

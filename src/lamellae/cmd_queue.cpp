@@ -20,7 +20,7 @@ OutgoingQueues::OutgoingQueues(Lamellae& lamellae, std::size_t flush_threshold,
       tracer_(tracer),
       threshold_(flush_threshold),
       lanes_(lamellae.num_pes()),
-      pool_(std::max<std::size_t>(16, 2 * lamellae.num_pes())) {
+      pool_(lamellae.buffer_pool(lamellae.my_pe())) {
   obs::MetricsRegistry& reg = lamellae.metrics();
   metrics_ = CmdQueueCounters{
       &reg.counter("cmdq.buffers_sent"),
@@ -252,9 +252,11 @@ void OutgoingQueues::flush_all(const ProgressFn& progress) {
   }
 }
 
-void OutgoingQueues::recycle(ByteBuffer buf) {
+void OutgoingQueues::recycle(ByteBuffer buf, pe_id owner) {
   if (buf.capacity() == 0) return;
-  if (pool_.release(std::move(buf))) metrics_.buffers_recycled->inc();
+  if (lamellae_.buffer_pool(owner).release(std::move(buf))) {
+    metrics_.buffers_recycled->inc();
+  }
 }
 
 void OutgoingQueues::transmit(pe_id dst, ByteBuffer buf,

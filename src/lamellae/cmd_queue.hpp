@@ -9,8 +9,10 @@
 // active immediately) and handed to the Lamellae; a record that is itself
 // at or above the threshold leaves on its own — the large-record bypass the
 // paper describes around the 100 KB default.  Swapped-out buffers are
-// replaced from a per-PE BufferPool, and receivers recycle drained inbox
-// buffers back into it, so steady-state traffic performs no heap growth.
+// replaced from a per-PE BufferPool (Lamellae::buffer_pool), and receivers
+// recycle drained inbox buffers back into the sender's pool, so
+// steady-state traffic performs no heap growth even when two PEs send
+// unevenly.
 //
 // Memory discipline at high PE counts (DESIGN.md §12): lanes are created
 // lazily on first use and acquire only a small initial buffer that grows
@@ -139,9 +141,11 @@ class OutgoingQueues {
   /// like flush_all.  Counted under cmdq.flush_age.
   void flush_aged(sim_nanos now, sim_nanos max_age, const ProgressFn& progress);
 
-  /// Return a drained buffer (swapped-out lane or inbox payload) to the
-  /// per-PE pool for reuse.
-  void recycle(ByteBuffer buf);
+  /// Return a drained buffer for reuse to the pool of `owner`, the PE
+  /// whose lane filled it (for an inbox payload, the message's source).
+  void recycle(ByteBuffer buf, pe_id owner);
+  /// Return a buffer this PE's own lanes filled to its pool.
+  void recycle(ByteBuffer buf) { recycle(std::move(buf), lamellae_.my_pe()); }
 
   /// Relaxed count of non-empty lanes — safe to call in tight wait loops
   /// without touching any lane lock.
@@ -218,7 +222,7 @@ class OutgoingQueues {
   /// lanes_mu_ and published with a release store.
   std::vector<std::atomic<Lane*>> lanes_;
   std::mutex lanes_mu_;
-  BufferPool pool_;
+  BufferPool& pool_;
   std::atomic<std::size_t> nonempty_lanes_{0};
   CmdQueueCounters metrics_;
 };

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <span>
 
+#include "common/buffer_pool.hpp"
 #include "common/bytes.hpp"
 #include "common/types.hpp"
 #include "fabric/perf_model.hpp"
@@ -91,6 +92,13 @@ class Lamellae {
   virtual bool poll(FabricMessage& out) = 0;
 
   [[nodiscard]] virtual bool inbox_empty() const = 0;
+
+  /// Free list of the message buffers that `pe`'s outgoing lanes fill.  A
+  /// receiver returns each drained inbox buffer to its sender's pool, so
+  /// every PE's buffer stock circulates back to it however unevenly two
+  /// PEs send.  Backends that copy messages out of a ring allocate inbox
+  /// buffers locally and answer with this PE's own pool for any `pe`.
+  virtual BufferPool& buffer_pool(pe_id pe) = 0;
 
   // ---- synchronization / accounting ----
   virtual void barrier() = 0;

@@ -261,6 +261,7 @@ MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
                                                  ctl_->symmetric_bytes);
   onesided_heap_ = std::make_unique<OffsetHeap>(
       ctl_->internal_bytes + ctl_->symmetric_bytes, ctl_->onesided_bytes);
+  buffer_pool_ = std::make_unique<BufferPool>(lane_pool_bound(num_pes_));
 
   send_mu_.reserve(num_pes_);
   for (std::size_t i = 0; i < num_pes_; ++i) {

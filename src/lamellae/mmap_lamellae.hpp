@@ -188,6 +188,7 @@ class MmapLamellae final : public Lamellae {
   bool try_send(pe_id dst, ByteBuffer& buf) override;
   bool poll(FabricMessage& out) override;
   [[nodiscard]] bool inbox_empty() const override;
+  BufferPool& buffer_pool(pe_id) override { return *buffer_pool_; }
 
   void barrier() override;
   VirtualClock& clock() override { return clock_; }
@@ -251,6 +252,7 @@ class MmapLamellae final : public Lamellae {
   // process's replica computes the same offsets with zero communication.
   std::unique_ptr<OffsetHeap> symmetric_heap_;
   std::unique_ptr<OffsetHeap> onesided_heap_;
+  std::unique_ptr<BufferPool> buffer_pool_;
 
   VirtualClock clock_;
   PerfParams params_;

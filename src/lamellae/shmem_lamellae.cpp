@@ -13,9 +13,12 @@ ShmemLamellaeGroup::ShmemLamellaeGroup(std::size_t num_pes, Layout layout,
   const std::size_t onesided_base =
       layout.internal_bytes + layout.symmetric_bytes;
   onesided_heaps_.reserve(num_pes);
+  buffer_pools_.reserve(num_pes);
   for (std::size_t i = 0; i < num_pes; ++i) {
     onesided_heaps_.push_back(
         std::make_unique<OffsetHeap>(onesided_base, layout.onesided_bytes));
+    buffer_pools_.push_back(
+        std::make_unique<BufferPool>(lane_pool_bound(num_pes)));
   }
 }
 

@@ -53,6 +53,11 @@ class ShmemLamellaeGroup {
   OffsetHeap& onesided_heap(pe_id pe) { return *onesided_heaps_[pe]; }
   OffsetHeap& symmetric_heap() { return symmetric_heap_; }
 
+  /// PE `pe`'s lane-buffer pool.  Owned here rather than by the endpoint:
+  /// messages hand the sender's buffer over by pointer, and the receiver
+  /// returns it to this pool, possibly after the sender's endpoint is gone.
+  BufferPool& buffer_pool(pe_id pe) { return *buffer_pools_[pe]; }
+
  private:
   friend class ShmemLamellae;
 
@@ -65,6 +70,7 @@ class ShmemLamellaeGroup {
   ShmemFabric fabric_;
   OffsetHeap symmetric_heap_;
   std::vector<std::unique_ptr<OffsetHeap>> onesided_heaps_;
+  std::vector<std::unique_ptr<BufferPool>> buffer_pools_;
 
   struct PendingAlloc {
     std::size_t offset = 0;
@@ -155,6 +161,7 @@ class ShmemLamellae final : public Lamellae {
   [[nodiscard]] bool inbox_empty() const override {
     return group_.fabric_.inbox_empty(pe_);
   }
+  BufferPool& buffer_pool(pe_id pe) override { return group_.buffer_pool(pe); }
 
   /// This PE's one-sided heap (tests / stress-harness invariant checks).
   OffsetHeap& onesided_heap() { return group_.onesided_heap(pe_); }

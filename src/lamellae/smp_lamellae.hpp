@@ -84,6 +84,9 @@ class SmpLamellae final : public Lamellae {
   [[nodiscard]] bool inbox_empty() const override {
     return inner_->inbox_empty();
   }
+  BufferPool& buffer_pool(pe_id pe) override {
+    return inner_->buffer_pool(pe);
+  }
 
   void barrier() override { inner_->barrier(); }
   VirtualClock& clock() override { return inner_->clock(); }

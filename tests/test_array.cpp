@@ -239,6 +239,7 @@ TEST(Array, SubArrayViews) {
     auto view = arr.sub_array(4, 8);
     EXPECT_EQ(view.len(), 8u);
     EXPECT_EQ(world.block_on(view.sum()), 8u);
+    world.barrier();  // every PE's sum has scanned before the add lands
     if (world.my_pe() == 0) {
       world.block_on(view.add(0, 10));  // global index 4
       EXPECT_EQ(world.block_on(arr.load(4)), 11u);

@@ -428,4 +428,153 @@ TEST(ArrayBatch, CompareExchangeBatchAcrossChunks) {
       cfg);
 }
 
+// ---------------------------------------------------------------------------
+// LocalLockArray: concurrent appliers on one PE all hold the PE-wide lock
+// ---------------------------------------------------------------------------
+
+TEST(ArrayBatch, LocalLockConcurrentBatchesConserve) {
+  RuntimeConfig cfg;
+  cfg.threads_per_pe = 4;
+  run_world(
+      4,
+      [](World& world) {
+        auto arr = LocalLockArray<std::uint64_t>::create(
+            world, 4096, Distribution::kCyclic);
+        arr.fill(0);
+        std::vector<global_index> all(arr.len());
+        std::iota(all.begin(), all.end(), 0);
+        constexpr std::uint64_t kRounds = 50;
+        // An un-awaited whole-array batch per round keeps several workers
+        // per owner applying batches at once, while the awaited single add
+        // lands next to them.
+        for (std::uint64_t r = 0; r < kRounds; ++r) {
+          auto pending = arr.batch_add(all, 1);
+          world.block_on(arr.add(r, 1));
+        }
+        world.wait_all();
+        world.barrier();
+        EXPECT_EQ(world.block_on(arr.sum()),
+                  world.num_pes() * kRounds * (arr.len() + 1));
+        world.barrier();
+      },
+      cfg);
+}
+
+// ---------------------------------------------------------------------------
+// Compare-exchange on every safety regime, remote owner
+// ---------------------------------------------------------------------------
+
+// Indices 4..7 of an 8-element block array live on PE 1; PE 0 drives.
+template <typename Arr, typename V>
+void check_remote_compare_exchange(World& world, Arr arr, V base) {
+  arr.fill(base);
+  if (world.my_pe() == 0) {
+    auto hit = world.block_on(arr.compare_exchange(6, base, base + 1));
+    EXPECT_TRUE(hit.success);
+    EXPECT_EQ(hit.current, base);
+    auto miss = world.block_on(arr.compare_exchange(6, base, base + 2));
+    EXPECT_FALSE(miss.success);
+    EXPECT_EQ(miss.current, base + 1);
+
+    // Shared desired: slot 6 no longer holds `base`, the rest swap.
+    const std::vector<global_index> idxs{7, 6, 4, 5};
+    auto shared =
+        world.block_on(arr.batch_compare_exchange(idxs, base, base + 5));
+    ASSERT_EQ(shared.size(), idxs.size());
+    for (std::size_t j = 0; j < idxs.size(); ++j) {
+      const bool was_six = idxs[j] == 6;
+      EXPECT_EQ(shared[j].success != 0, !was_six) << j;
+      EXPECT_EQ(shared[j].current, was_six ? base + 1 : base) << j;
+    }
+
+    // Per-element desired, paired with caller positions.
+    const std::vector<V> desired{base + 10, base + 20, base + 30, base + 40};
+    auto each = world.block_on(arr.batch_compare_exchange(
+        idxs, base + 5, std::span<const V>(desired)));
+    ASSERT_EQ(each.size(), idxs.size());
+    for (std::size_t j = 0; j < idxs.size(); ++j) {
+      const bool was_six = idxs[j] == 6;
+      EXPECT_EQ(each[j].success != 0, !was_six) << j;
+      EXPECT_EQ(each[j].current, was_six ? base + 1 : base + 5) << j;
+    }
+    auto now = world.block_on(arr.batch_load(idxs));
+    EXPECT_EQ(now, (std::vector<V>{base + 10, base + 1, base + 30,
+                                   base + 40}));
+  }
+  world.barrier();
+}
+
+TEST(ArrayBatch, CompareExchangeRemoteUnsafe) {
+  run_world(2, [](World& world) {
+    check_remote_compare_exchange(
+        world,
+        UnsafeArray<std::uint64_t>::create(world, 8, Distribution::kBlock),
+        std::uint64_t{3});
+  });
+}
+
+TEST(ArrayBatch, CompareExchangeRemoteLocalLock) {
+  run_world(2, [](World& world) {
+    check_remote_compare_exchange(
+        world,
+        LocalLockArray<std::uint64_t>::create(world, 8, Distribution::kBlock),
+        std::uint64_t{3});
+  });
+}
+
+TEST(ArrayBatch, CompareExchangeRemoteGenericAtomic) {
+  run_world(2, [](World& world) {
+    auto arr = AtomicArray<double>::create(world, 8, Distribution::kBlock);
+    EXPECT_FALSE(arr.is_native());
+    check_remote_compare_exchange(world, std::move(arr), 0.5);
+  });
+}
+
+// ---------------------------------------------------------------------------
+// One index - many values: one pre-value per operand, folded in order
+// ---------------------------------------------------------------------------
+
+TEST(ArrayBatch, OneIdxManyValsFetchPreValuesInOrder) {
+  RuntimeConfig cfg;
+  cfg.batch_op_limit = 4;  // the repeated index splits into three chunks
+  run_world(
+      2,
+      [](World& world) {
+        auto arr =
+            AtomicArray<std::uint64_t>::create(world, 8, Distribution::kBlock);
+        arr.fill(100);
+        if (world.my_pe() == 0) {
+          // Powers of two: every partial sum, hence every pre-value, is
+          // distinct.
+          const std::vector<std::uint64_t> vals{1,  2,  4,   8,   16,
+                                                32, 64, 128, 256, 512};
+          auto pre = world.block_on(
+              arr.batch_fetch_add(global_index{7}, std::span(vals)));
+          ASSERT_EQ(pre.size(), vals.size());
+          // Within a chunk the operands fold in caller order.
+          for (std::size_t j = 0; j + 1 < vals.size(); ++j) {
+            if ((j + 1) % 4 != 0) {
+              EXPECT_EQ(pre[j + 1], pre[j] + vals[j]) << j;
+            }
+          }
+          // Across chunks, whatever order they applied in, the pre-values
+          // chain from the initial value through every operand once.
+          std::vector<std::size_t> order(vals.size());
+          std::iota(order.begin(), order.end(), 0);
+          std::sort(order.begin(), order.end(),
+                    [&](std::size_t a, std::size_t b) {
+                      return pre[a] < pre[b];
+                    });
+          std::uint64_t expect = 100;
+          for (const std::size_t j : order) {
+            EXPECT_EQ(pre[j], expect) << j;
+            expect += vals[j];
+          }
+          EXPECT_EQ(world.block_on(arr.load(7)), expect);
+        }
+        world.barrier();
+      },
+      cfg);
+}
+
 }  // namespace
