@@ -172,13 +172,6 @@ void OutgoingQueues::commit_record(RecordWriter& w, const ProgressFn& progress) 
   }
 }
 
-void OutgoingQueues::push(pe_id dst, std::span<const std::byte> record,
-                          const ProgressFn& progress) {
-  auto w = begin_record(dst);
-  w.buffer().write(record.data(), record.size());
-  commit_record(w, progress);
-}
-
 void OutgoingQueues::send_now(pe_id dst, ByteBuffer buf,
                               const ProgressFn& progress) {
   // Preserve record ordering per destination: anything staged must leave

@@ -26,7 +26,6 @@
 #include <atomic>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "common/buffer_pool.hpp"
@@ -117,11 +116,6 @@ class OutgoingQueues {
   /// Close the record opened by `w`: update lane occupancy, swap the buffer
   /// out if it reached the threshold, and transmit outside the lane lock.
   void commit_record(RecordWriter& w, const ProgressFn& progress);
-
-  /// Append one pre-serialized record destined for `dst` (copying path kept
-  /// for callers that already own a buffer).  May flush.
-  void push(pe_id dst, std::span<const std::byte> record,
-            const ProgressFn& progress);
 
   /// Move a whole prebuilt buffer out for `dst` without copying (used for
   /// records at or above the threshold).

@@ -4,10 +4,11 @@
 // Exactly as in the paper, a Lamellae knows how to (de)initialize, report PE
 // identity, (de)allocate RDMA memory regions, perform remote put/get
 // transfers, run barriers, and move serialized message buffers between PEs.
-// Implementations here: ShmemLamellae (many PEs, in-process arenas over
-// ShmemFabric — models both the paper's ROFI and Shmem lamellae, with a
-// PeMapping deciding which transfers are "inter-node") and SmpLamellae
-// (single PE, pure local).
+// Implementations here: ShmemLamellae (PEs as threads, in-process arenas
+// over ShmemFabric — models both the paper's ROFI and Shmem lamellae, with a
+// PeMapping deciding which transfers are "inter-node"; a one-PE group plays
+// the paper's SMP lamellae) and MmapLamellae (one forked process per PE over
+// a shared segment).
 #pragma once
 
 #include <chrono>

@@ -2,6 +2,7 @@
 // queues, and the performance model.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <thread>
 
 #include "fabric/perf_model.hpp"
@@ -9,11 +10,19 @@
 #include "lamellae/cmd_queue.hpp"
 #include "lamellae/heap.hpp"
 #include "lamellae/shmem_lamellae.hpp"
-#include "lamellae/smp_lamellae.hpp"
 
 namespace {
 
 using namespace lamellar;
+
+/// Stage one pre-serialized record on `dst`'s lane through the in-place
+/// record path.
+void stage(OutgoingQueues& out, pe_id dst, std::span<const std::byte> record,
+           const OutgoingQueues::ProgressFn& progress) {
+  auto w = out.begin_record(dst);
+  w.buffer().write(record.data(), record.size());
+  out.commit_record(w, progress);
+}
 
 TEST(Heap, AllocFreeConservation) {
   OffsetHeap heap(100, 1000);
@@ -221,18 +230,19 @@ TEST(Lamellae, OneSidedHeapsIndependent) {
   l1->free_onesided(b);
 }
 
-TEST(Lamellae, SmpSinglePe) {
-  SmpLamellae smp;
-  EXPECT_EQ(smp.num_pes(), 1u);
-  EXPECT_EQ(smp.my_pe(), 0u);
-  auto off = smp.alloc_symmetric(256, 16);
+TEST(Lamellae, SinglePe) {
+  ShmemLamellaeGroup group(1, {});
+  auto l0 = group.endpoint(0);
+  EXPECT_EQ(l0->num_pes(), 1u);
+  EXPECT_EQ(l0->my_pe(), 0u);
+  auto off = l0->alloc_symmetric(256, 16);
   std::vector<std::byte> data(8, std::byte{1});
-  smp.put(0, off, data);
+  l0->put(0, off, data);
   std::vector<std::byte> back(8);
-  smp.get(0, off, back);
+  l0->get(0, off, back);
   EXPECT_EQ(back, data);
-  smp.barrier();  // no-op, must not deadlock
-  smp.free_symmetric(off);
+  l0->barrier();  // one participant: must not deadlock
+  l0->free_symmetric(off);
 }
 
 TEST(CmdQueue, AggregatesUntilThreshold) {
@@ -243,10 +253,10 @@ TEST(CmdQueue, AggregatesUntilThreshold) {
   const obs::Counter& sent = l0->metrics().counter("cmdq.buffers_sent");
   std::vector<std::byte> record(100, std::byte{7});
   auto progress = [] {};
-  out.push(1, record, progress);
-  out.push(1, record, progress);
-  EXPECT_EQ(sent.get(), 0u);      // 200 < 256
-  out.push(1, record, progress);  // 300 >= 256 -> flush
+  stage(out, 1, record, progress);
+  stage(out, 1, record, progress);
+  EXPECT_EQ(sent.get(), 0u);        // 200 < 256
+  stage(out, 1, record, progress);  // 300 >= 256 -> flush
   EXPECT_EQ(sent.get(), 1u);
   EXPECT_EQ(l0->metrics().counter("cmdq.flush_threshold").get(), 1u);
   FabricMessage msg;
@@ -259,7 +269,7 @@ TEST(CmdQueue, FlushSendsResiduals) {
   auto l0 = group.endpoint(0);
   OutgoingQueues out(*l0, 1 << 20);
   std::vector<std::byte> record(10, std::byte{7});
-  out.push(1, record, [] {});
+  stage(out, 1, record, [] {});
   EXPECT_TRUE(out.has_pending());
   out.flush_all([] {});
   EXPECT_FALSE(out.has_pending());
@@ -272,7 +282,7 @@ TEST(CmdQueue, SendNowPreservesOrder) {
   auto l0 = group.endpoint(0);
   OutgoingQueues out(*l0, 1 << 20);
   std::vector<std::byte> staged(10, std::byte{1});
-  out.push(1, staged, [] {});
+  stage(out, 1, staged, [] {});
   ByteBuffer big;
   big.write_pod<std::uint64_t>(99);
   out.send_now(1, std::move(big), [] {});
