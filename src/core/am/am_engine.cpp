@@ -1,6 +1,7 @@
 #include "core/am/am_engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -55,6 +56,7 @@ AmEngine::AmEngine(Lamellae& lamellae, ThreadPool& pool,
   am_executed_ = &reg.counter("am.executed");
   replies_sent_ = &reg.counter("am.replies_sent");
   replies_received_ = &reg.counter("am.replies_received");
+  ack_records_ = &reg.counter("am.ack_records");
   bytes_serialized_ = &reg.counter("am.bytes_serialized");
   bytes_copied_ = &reg.counter("am.bytes_copied");
   idle_flushes_ = &reg.counter("am.idle_flushes");
@@ -68,9 +70,10 @@ AmEngine::AmEngine(Lamellae& lamellae, ThreadPool& pool,
   relayed_records_ = &reg.counter("am.relayed_records");
   relay_bytes_ = &reg.counter("am.relay_bytes");
   backpressure_stalls_ = &reg.counter("ctl.backpressure_stalls");
+  progress_fn_ = [this] { poll_inbox(); };
   if (cfg.adapt != AdaptMode::kOff) {
-    ctl_ = std::make_unique<control::ControlLoop>(
-        outgoing_, lamellae, cfg, [this] { poll_inbox(); });
+    ctl_ = std::make_unique<control::ControlLoop>(outgoing_, lamellae, cfg,
+                                                  progress_fn_);
   }
   // An explicit LAMELLAR_ADMIT_WINDOW enables admission in any mode; the
   // auto default only arms it for adapt=full.
@@ -83,6 +86,7 @@ void AmEngine::admit() {
   if (admit_window_ == 0 || tl_in_admit) return;
   if (outstanding() < admit_window_) return;
   AdmitScope scope;
+  release_running_chunk();
   backpressure_stalls_->inc();
   // Progress argument (DESIGN.md §14): every iteration either executes a
   // pool task (which can produce completions), polls the inbox (which
@@ -135,6 +139,21 @@ bool AmEngine::poll_inbox() {
 void AmEngine::dispatch_record(const AmEnvelope& env,
                                std::span<const std::byte> payload, pe_id src,
                                AmDispatchBatch& batch) {
+  if (env.type == kAckType) {
+    // One record completes many Unit requests; the ids are read one by one
+    // from the serialized std::vector<request_id> (wire.hpp).
+    Deserializer de(payload);
+    std::uint64_t n = 0;
+    de.get(n);
+    replies_received_->inc(n);
+    Deserializer unit{std::span<const std::byte>{}};
+    for (std::uint64_t i = 0; i < n; ++i) {
+      request_id rid = 0;
+      de.get(rid);
+      take_completer(rid)(unit);
+    }
+    return;
+  }
   if (env.type == kReplyType) {
     replies_received_->inc();
     if (env.traced()) {
@@ -216,7 +235,6 @@ void AmEngine::handle_forward(std::span<const std::byte> payload,
   relayed_records_->inc();
   relay_bytes_->inc(payload.size());
   lamellae_.charge(lamellae_.params().serialize_ns(payload.size()));
-  const auto progress = [this] { poll_inbox(); };
   auto w = outgoing_.begin_record(fdst);
   ByteBuffer& rec = w.buffer();
   rec.write_pod<std::uint32_t>(kForwardType);
@@ -224,7 +242,7 @@ void AmEngine::handle_forward(std::span<const std::byte> payload,
   rec.write_pod<std::uint64_t>(0);
   rec.write_pod<std::uint64_t>(payload.size());
   rec.write(payload.data(), payload.size());
-  outgoing_.commit_record(w, progress);
+  outgoing_.commit_record(w, progress_fn_);
 }
 
 void AmEngine::dispatch_buffer(ByteBuffer buffer, pe_id src) {
@@ -255,13 +273,86 @@ void AmEngine::dispatch_buffer(ByteBuffer buffer, pe_id src) {
     batch.hold.reset();
   } else {
     // Every payload view has been consumed: hand the drained buffer back to
-    // its sender's pool so a later send reuses its storage, then inject
-    // every AM task of this aggregated buffer at once (one pending update,
-    // one wake).
+    // its sender's pool so a later send reuses its storage.
     outgoing_.recycle(std::move(buffer), src);
   }
-  pool_.spawn_batch(std::move(batch.tasks));
+  spawn_chunks(std::move(batch.tasks));
   span.finish(lamellae_.clock().now(), records);
+}
+
+thread_local AmEngine::Chunk* AmEngine::tl_chunk_ = nullptr;
+
+void AmEngine::spawn_chunks(std::vector<Task> records) {
+  const std::size_t n = records.size();
+  if (n == 0) return;
+  const std::size_t k = std::min(n, pool_.num_workers() + 1);
+  auto shared = std::make_shared<std::vector<Task>>(std::move(records));
+  std::vector<Task> chunks;
+  chunks.reserve(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    chunks.push_back(chunk_task(shared, n * c / k, n * (c + 1) / k));
+  }
+  // One pending update and one wake for the whole buffer.
+  pool_.spawn_batch(std::move(chunks));
+}
+
+Task AmEngine::chunk_task(ChunkRecords records, std::size_t begin,
+                          std::size_t end) {
+  return [this, records = std::move(records), begin, end]() mutable {
+    run_chunk(std::move(records), begin, end);
+  };
+}
+
+void AmEngine::run_chunk(ChunkRecords records, std::size_t begin,
+                         std::size_t end) {
+  Chunk chunk{this, std::move(records), begin, end, {}};
+  struct Bind {
+    Chunk* outer;
+    ~Bind() { tl_chunk_ = outer; }
+  } bind{std::exchange(tl_chunk_, &chunk)};
+  while (chunk.next < chunk.end) {
+    // Moved out so that what the record holds (a Darc, an inbox hold) is
+    // released as soon as it has run.
+    Task record = std::move((*chunk.records)[chunk.next++]);
+    record();
+  }
+  write_acks(chunk);
+}
+
+bool AmEngine::queue_ack(pe_id origin, request_id rid) {
+  Chunk* chunk = tl_chunk_;
+  if (chunk == nullptr || chunk->engine != this) return false;
+  // A chunk almost always owes one origin; relayed traffic brings a few.
+  auto it = std::find_if(
+      chunk->acks.rbegin(), chunk->acks.rend(),
+      [origin](const AckList& a) { return a.origin == origin; });
+  if (it == chunk->acks.rend()) {
+    chunk->acks.push_back(AckList{origin, {}});
+    it = chunk->acks.rbegin();
+  }
+  it->ids.push_back(rid);
+  return true;
+}
+
+void AmEngine::write_acks(Chunk& chunk) {
+  const std::vector<AckList> acks = std::exchange(chunk.acks, {});
+  for (const AckList& a : acks) {
+    replies_sent_->inc(a.ids.size());
+    ack_records_->inc();
+    write_record_inplace(a.origin, kAckType, 0, 0, a.ids);
+  }
+}
+
+void AmEngine::release_running_chunk() {
+  Chunk* chunk = tl_chunk_;
+  if (chunk == nullptr) return;
+  AmEngine& engine = *chunk->engine;
+  engine.write_acks(*chunk);
+  if (chunk->next < chunk->end) {
+    engine.pool_.spawn(
+        engine.chunk_task(chunk->records, chunk->next, chunk->end));
+    chunk->end = chunk->next;
+  }
 }
 
 void AmEngine::progress() {
@@ -275,11 +366,10 @@ void AmEngine::progress() {
   if (ctl_ != nullptr) ctl_->maybe_tick();
 }
 
-void AmEngine::flush() {
-  outgoing_.flush_all([this] { poll_inbox(); });
-}
+void AmEngine::flush() { outgoing_.flush_all(progress_fn_); }
 
 void AmEngine::wait_all() {
+  release_running_chunk();
   flush();
   while (outstanding() > 0) {
     if (!pool_.try_run_one()) {

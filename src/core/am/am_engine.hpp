@@ -6,8 +6,9 @@
 //  * serialization of AM payloads and aggregation of small records into
 //    per-destination buffers (OutgoingQueues, the double-buffered command
 //    queue of Sec. III-A1);
-//  * receive-side dispatch: buffers are parsed and each AM record becomes an
-//    asynchronous task on the PE's work-stealing pool;
+//  * receive-side dispatch: buffers are parsed and their AM records run as
+//    a few chunk tasks on the PE's work-stealing pool, each chunk answering
+//    its Unit-returning requests with one ack record per origin;
 //  * request/reply tracking so every launch can be awaited, and the
 //    launched/completed counters behind wait_all();
 //  * local bypass: AMs addressed to the local PE skip serialization
@@ -231,6 +232,21 @@ class AmEngine {
                          allow_relay);
   }
 
+  /// Reply from a deferred AM task.  An untraced Unit reply joins the
+  /// running chunk's ack list for `dst` and leaves in one kAckType record
+  /// per origin when the chunk ends or blocks (DESIGN.md §7).  A reply that
+  /// carries a value leaves at once: the value may live in the arena frame
+  /// of this record.  A sampled reply leaves at once: its trace extension
+  /// is per span.
+  template <typename R>
+  void reply(pe_id dst, request_id rid, const R& value,
+             std::uint64_t trace_span) {
+    if constexpr (std::is_same_v<R, Unit>) {
+      if (trace_span == 0 && queue_ack(dst, rid)) return;
+    }
+    send_reply(dst, rid, value, trace_span);
+  }
+
   // ---- progress / waiting ----
 
   /// Drain the fabric inbox, dispatching AM records and completing replies.
@@ -250,6 +266,7 @@ class AmEngine {
   /// Block (helping) until `f` is ready; returns its value.
   template <typename T>
   T block_on(Future<T> f) {
+    release_running_chunk();
     flush();
     while (!f.ready()) {
       if (!pool_.try_run_one()) {
@@ -345,7 +362,6 @@ class AmEngine {
         (tick_gate_.fetch_add(1, std::memory_order_relaxed) & 511u) == 0) {
       ctl_->maybe_tick();
     }
-    const auto progress = [this] { poll_inbox(); };
     if (trace_span != 0) flags |= kTraced;
     const pe_id hop =
         (route_2hop_ && allow_relay) ? grid_.relay(my_pe(), dst) : dst;
@@ -379,7 +395,7 @@ class AmEngine {
           record_bytes - kRecordHeaderBytes - ext_bytes);
       bytes_copied_->inc(record_bytes);
       charge_serialize(record_bytes);
-      outgoing_.commit_record(w, progress);
+      outgoing_.commit_record(w, progress_fn_);
       return;
     }
     // Routed: serialize a complete inner record inside a forward wrapper on
@@ -421,7 +437,8 @@ class AmEngine {
       std::vector<std::byte> tmp(inner_bytes);
       std::memcpy(tmp.data(), rec.as_span().data() + inner_start, inner_bytes);
       rec.truncate(start);
-      outgoing_.commit_record(w, progress);  // zero-byte; may release storage
+      // Zero-byte commit; may release the lane's storage.
+      outgoing_.commit_record(w, progress_fn_);
       auto w2 = outgoing_.begin_record(dst);
       const std::size_t start2 = w2.record_start();
       w2.buffer().write(tmp.data(), tmp.size());
@@ -431,7 +448,7 @@ class AmEngine {
       }
       bytes_copied_->inc(tmp.size());
       charge_serialize(tmp.size());
-      outgoing_.commit_record(w2, progress);
+      outgoing_.commit_record(w2, progress_fn_);
       return;
     }
     rec.patch_pod<std::uint64_t>(
@@ -445,7 +462,7 @@ class AmEngine {
     bytes_copied_->inc(record_bytes);
     charge_serialize(record_bytes);
     sent_routed_->inc();
-    outgoing_.commit_record(w, progress);
+    outgoing_.commit_record(w, progress_fn_);
   }
 
   static constexpr std::size_t kPendingShards = 16;
@@ -454,10 +471,51 @@ class AmEngine {
     std::unordered_map<request_id, Completer> map;
   };
 
+  /// Deferred records of one inbox buffer, shared by the chunks that run
+  /// them.
+  using ChunkRecords = std::shared_ptr<std::vector<Task>>;
+
+  /// Request ids the running chunk owes one origin an ack for.
+  struct AckList {
+    pe_id origin = 0;
+    std::vector<request_id> ids;
+  };
+
+  /// A chunk being executed by this thread: records [next, end) are still
+  /// to run, in wire order, and `acks` holds the Unit replies of the ones
+  /// that finished.
+  struct Chunk {
+    AmEngine* engine = nullptr;
+    ChunkRecords records;
+    std::size_t next = 0;
+    std::size_t end = 0;
+    std::vector<AckList> acks;
+  };
+
   void register_completer(request_id rid, Completer completer);
   Completer take_completer(request_id rid);
   void charge_serialize(std::size_t bytes);
   void dispatch_buffer(ByteBuffer buffer, pe_id src);
+
+  /// Inject an inbox buffer's deferred records as at most
+  /// `pool_.num_workers() + 1` contiguous chunk tasks, so every worker and
+  /// one helping caller can take one.
+  void spawn_chunks(std::vector<Task> records);
+  Task chunk_task(ChunkRecords records, std::size_t begin, std::size_t end);
+  void run_chunk(ChunkRecords records, std::size_t begin, std::size_t end);
+
+  /// Append `rid` to the running chunk's ack list for `origin`; false when
+  /// this thread runs no chunk of this engine.
+  bool queue_ack(pe_id origin, request_id rid);
+
+  /// Write one kAckType record per origin for `chunk`'s collected acks.
+  void write_acks(Chunk& chunk);
+
+  /// Blocking rule: a record that enters a helping wait (block_on,
+  /// wait_all, the admission gate) first writes its chunk's acks and
+  /// re-queues the chunk's records that have not started, so neither can
+  /// wait behind it.  No-op outside a chunk.
+  static void release_running_chunk();
 
   /// Admission control (DESIGN.md §14): when the pending-AM window
   /// (launched - completed) is full, cooperatively run scheduler work,
@@ -485,6 +543,8 @@ class AmEngine {
   ThreadPool& pool_;
   RuntimeConfig cfg_;
   OutgoingQueues outgoing_;
+  /// poll_inbox() as the lanes' backpressure callback, built once.
+  OutgoingQueues::ProgressFn progress_fn_;
   World* world_ = nullptr;
   obs::TraceCollector* tracer_ = nullptr;
 
@@ -500,6 +560,7 @@ class AmEngine {
   obs::Counter* am_executed_;
   obs::Counter* replies_sent_;
   obs::Counter* replies_received_;
+  obs::Counter* ack_records_;
   obs::Counter* bytes_serialized_;
   obs::Counter* bytes_copied_;
   obs::Counter* idle_flushes_;
@@ -526,17 +587,22 @@ class AmEngine {
   // Reply completers, sharded by request id so completion bookkeeping on
   // one record does not serialize against registration of the next.
   std::array<PendingShard, kPendingShards> pending_;
-  std::atomic<request_id> next_request_id_{1};
 
-  std::atomic<std::uint64_t> launched_{0};
-  std::atomic<std::uint64_t> completed_{0};
+  // One cache line each: the issuing thread bumps the first two on every
+  // send, whichever thread polls bumps completed_ on every completion.
+  alignas(kCacheLine) std::atomic<request_id> next_request_id_{1};
+  alignas(kCacheLine) std::atomic<std::uint64_t> launched_{0};
+  alignas(kCacheLine) std::atomic<std::uint64_t> completed_{0};
+
+  static thread_local Chunk* tl_chunk_;
 };
 
 /// Type-erased execution shim instantiated per AM type by the registration
 /// macro: deserialize straight from the borrowed inbox view (no
 /// intermediate copy), collect the execution task into the dispatch batch
-/// (or run inline for runtime-internal control messages), and send the
-/// reply.
+/// (or run inline for runtime-internal control messages), and reply.
+/// Inline AMs always reply with their own record: they need FIFO order
+/// and are never relayed.
 template <typename Am>
 struct AmExecutor {
   static void execute(AmEngine& engine, pe_id src, const AmEnvelope& env,
@@ -582,9 +648,7 @@ struct AmExecutor {
           engine.note_traced_exec(span, t0, engine.lamellae().clock().now());
         }
         engine.note_am_executed();
-        if ((flags & kWantsReply) != 0) {
-          engine.send_reply(src, rid, result, span);
-        }
+        if ((flags & kWantsReply) != 0) engine.reply(src, rid, result, span);
         hold.reset();
       });
     } else {
@@ -598,9 +662,7 @@ struct AmExecutor {
           engine.note_traced_exec(span, t0, engine.lamellae().clock().now());
         }
         engine.note_am_executed();
-        if ((flags & kWantsReply) != 0) {
-          engine.send_reply(src, rid, result, span);
-        }
+        if ((flags & kWantsReply) != 0) engine.reply(src, rid, result, span);
       });
     }
   }

@@ -17,7 +17,7 @@ AmRegistry& AmRegistry::instance() {
 
 am_type_id AmRegistry::register_handler(std::string name, AmExecuteFn fn) {
   const auto id = static_cast<am_type_id>(entries_.size());
-  if (id == kReplyType) throw Error("AmRegistry: id space exhausted");
+  if (id >= kAckType) throw Error("AmRegistry: id space exhausted");
   entries_.push_back(Entry{std::move(name), fn});
   return id;
 }

@@ -38,9 +38,9 @@ struct InboxHold {
   ~InboxHold();
 };
 
-/// Execution tasks collected while one aggregated buffer is parsed, then
-/// injected into the thread pool as a single batch (one pending-count
-/// update, one wake) instead of per-record spawns.
+/// Execution tasks collected in wire order while one aggregated buffer is
+/// parsed, then run as a few contiguous chunk tasks (AmEngine::spawn_chunks)
+/// instead of one pool task per record.
 struct AmDispatchBatch {
   std::vector<Task> tasks;
   /// Created on demand by executors of payload-borrowing AM types; empty

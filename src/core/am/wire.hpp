@@ -4,6 +4,8 @@
 //   [u32 am_type][u32 flags][u64 req_id][u64 payload_len][payload bytes]
 // Replies reuse the same framing with type = kReplyType and the request id
 // of the originating AM; the payload is the serialized return value.
+// Batched completion acks (type = kAckType) answer many Unit-returning
+// requests of one origin at once; their payload lists the request ids.
 //
 // Records carrying the kTraced flag insert a 16-byte trace extension
 // between the header and the payload:
@@ -42,6 +44,17 @@ inline constexpr am_type_id kReplyType = 0xFFFFFFFFu;
 /// to the origin, not to the relay the fabric message came from.
 inline constexpr am_type_id kForwardType = 0xFFFFFFFEu;
 inline constexpr std::size_t kForwardPrefixBytes = sizeof(std::uint32_t) * 2;
+
+/// Batched completion ack (DESIGN.md §7).  The header carries type =
+/// kAckType, flags = 0, req_id = 0; the payload is a serialized
+/// std::vector<request_id>:
+///   [u64 n][n x u64 request id]
+/// listing, in execution order, the requests of one origin whose AMs
+/// returned Unit and ran in one receive-side chunk.  The origin completes
+/// each id as if it had received a reply with an empty (Unit) value.  Ack
+/// records route like replies (2-hop relaying included) and never carry
+/// the trace extension: sampled requests keep their own reply record.
+inline constexpr am_type_id kAckType = 0xFFFFFFFDu;
 
 enum AmFlags : std::uint32_t {
   kWantsReply = 1u << 0,

@@ -16,6 +16,7 @@
 // regime; iterators and reductions are provided via the shared base.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <span>
 #include <vector>
@@ -425,24 +426,36 @@ class ArrayBase {
     // hazard when user handles never drop).  We help the runtime while
     // waiting, and diagnose the user-held-handle case: if the runtime is
     // fully quiescent and extra references persist, no amount of waiting
-    // can release them.
+    // can release them.  This PE looks quiescent too while a peer's Darc
+    // transfer ack is still unsent (the peer's threads may simply not be
+    // scheduled), so only a full second of quiet counts as proof: a
+    // spurious throw here leaves every peer waiting in the conversion
+    // barrier below.
     World& world = *state_->world;
-    std::size_t idle_probes = 0;
+    constexpr auto kQuietProof = std::chrono::seconds(1);
+    std::chrono::steady_clock::time_point quiet_since{};
+    bool quiet = false;
     while (true) {
       const auto refs = world.darc_manager().local_refs(state_.id());
       if (refs == 1) return;
       const bool ran = world.pool().try_run_one();
       world.engine().poll_inbox();
+      // Our own transfer acks must leave too (as block_on flushes).
+      if (world.engine().outgoing().has_pending()) world.engine().flush();
       if (!ran && world.engine().outstanding() == 0 &&
           world.pool().pending() == 0) {
-        if (++idle_probes > 10'000) {
+        const auto now = std::chrono::steady_clock::now();
+        if (!quiet) {
+          quiet = true;
+          quiet_since = now;
+        } else if (now - quiet_since > kQuietProof) {
           throw ConversionError(
               std::string(what) + ": " + std::to_string(refs) +
               " references exist on this PE and the runtime is idle — "
               "another handle (e.g. a sub-array) is still alive");
         }
       } else {
-        idle_probes = 0;
+        quiet = false;
       }
     }
   }

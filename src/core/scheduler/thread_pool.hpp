@@ -68,7 +68,7 @@ class ThreadPool {
 
   /// Submit a whole batch of tasks with a single pending_ update and a
   /// single wake, instead of per-task spawn/notify.  Used by receive-side
-  /// dispatch to inject every AM of an aggregated buffer at once.
+  /// dispatch to inject the chunk tasks of an aggregated buffer at once.
   void spawn_batch(std::vector<Task> tasks);
 
   /// Execute one pending task on the calling thread if available.  Returns

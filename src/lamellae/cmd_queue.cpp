@@ -172,15 +172,6 @@ void OutgoingQueues::commit_record(RecordWriter& w, const ProgressFn& progress) 
   }
 }
 
-void OutgoingQueues::send_now(pe_id dst, ByteBuffer buf,
-                              const ProgressFn& progress) {
-  // Preserve record ordering per destination: anything staged must leave
-  // before the direct buffer.
-  flush(dst, progress);
-  metrics_.bypass_large->inc();
-  transmit(dst, std::move(buf), progress);
-}
-
 void OutgoingQueues::flush(pe_id dst, const ProgressFn& progress) {
   Lane* lp = lanes_[dst].load(std::memory_order_acquire);
   if (lp == nullptr) return;

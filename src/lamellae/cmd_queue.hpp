@@ -117,10 +117,6 @@ class OutgoingQueues {
   /// out if it reached the threshold, and transmit outside the lane lock.
   void commit_record(RecordWriter& w, const ProgressFn& progress);
 
-  /// Move a whole prebuilt buffer out for `dst` without copying (used for
-  /// records at or above the threshold).
-  void send_now(pe_id dst, ByteBuffer buf, const ProgressFn& progress);
-
   /// Flush any partially filled buffer for `dst`.
   void flush(pe_id dst, const ProgressFn& progress);
 

@@ -16,11 +16,13 @@
 //
 // Usage:
 //   stress_soak [--seed S] [--pes N] [--threads T] [--rounds R]
-//               [--ms M] [--ops K]
+//               [--ms M] [--ops K] [--route direct|2hop]
 //
 //   --rounds R   maximum rounds (0 = until the time budget is spent)
 //   --ms M       wall-clock budget in milliseconds (0 = rounds only)
 //   --ops K      ops per PE per round
+//   --route      AM routing (default direct); 2hop relays small records
+//                and their replies and ack records through RouteGrid
 //
 // Exit status 0 iff every invariant held and every checksum matched.
 #include <atomic>
@@ -28,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -41,6 +44,11 @@ namespace {
 using namespace lamellar;
 
 std::atomic<std::uint64_t> g_failures{0};
+
+// Unit-AM conservation: TallyAm executions per executing PE, and the
+// number of TallyAms issued by every PE together.
+std::unique_ptr<std::atomic<std::uint64_t>[]> g_tally;
+std::atomic<std::uint64_t> g_tally_issued{0};
 
 void fail(const char* what, std::uint64_t got, std::uint64_t want, pe_id pe,
           std::size_t round) {
@@ -83,6 +91,15 @@ struct PingAm {
   std::uint64_t exec(AmContext&) { return mix64(x); }
 };
 
+// Returns Unit, so its completion travels in a batched ack record.
+struct TallyAm {
+  template <class Ar>
+  void serialize(Ar&) {}
+  void exec(AmContext& ctx) {
+    g_tally[ctx.current_pe()].fetch_add(1, std::memory_order_relaxed);
+  }
+};
+
 struct PayloadAm {
   std::vector<std::uint64_t> data;
   template <class Ar>
@@ -116,6 +133,7 @@ struct DarcTouchAm {
 }  // namespace
 
 LAMELLAR_REGISTER_AM(PingAm);
+LAMELLAR_REGISTER_AM(TallyAm);
 LAMELLAR_REGISTER_AM(PayloadAm);
 LAMELLAR_REGISTER_AM(DarcTouchAm);
 
@@ -128,16 +146,20 @@ struct Options {
   std::size_t rounds = 0;    // 0 = until --ms budget spent
   std::size_t ms = 0;        // 0 = --rounds only
   std::size_t ops = 400;     // ops per PE per round
+  RouteMode route = RouteMode::kDirect;
 };
 
 Options parse_args(int argc, char** argv) {
   Options o;
-  auto num = [&](int& i) -> std::uint64_t {
+  auto value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "missing value for %s\n", argv[i]);
       std::exit(2);
     }
-    return std::strtoull(argv[++i], nullptr, 10);
+    return argv[++i];
+  };
+  auto num = [&](int& i) -> std::uint64_t {
+    return std::strtoull(value(i), nullptr, 10);
   };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -147,6 +169,7 @@ Options parse_args(int argc, char** argv) {
     else if (a == "--rounds") o.rounds = num(i);
     else if (a == "--ms") o.ms = num(i);
     else if (a == "--ops") o.ops = num(i);
+    else if (a == "--route") o.route = parse_route_mode(value(i));
     else {
       std::fprintf(stderr, "unknown flag %s\n", a.c_str());
       std::exit(2);
@@ -213,18 +236,21 @@ std::uint64_t soak_round(World& world, std::size_t round, const Options& opt,
 
     std::vector<std::pair<Future<std::uint64_t>, std::uint64_t>> checked;
     checked.reserve(64);
+    std::vector<Future<Unit>> tallies;
     auto drain_checked = [&] {
       for (auto& [fut, want] : checked) {
         const std::uint64_t got = world.block_on(std::move(fut));
         SOAK_CHECK(got == want, "am checksum", got, want, me, round);
       }
       checked.clear();
+      for (auto& fut : tallies) world.block_on(std::move(fut));
+      tallies.clear();
     };
 
     for (std::size_t op = 0; op < opt.ops; ++op) {
       const std::uint64_t r = rng.next();
       const pe_id dst = static_cast<pe_id>(rng.next() % npes);
-      switch (r % 13) {
+      switch (r % 14) {
         case 0: {  // small checked ping (in-place aggregated record)
           const std::uint64_t x = rng.next();
           checked.emplace_back(world.exec_am_pe(dst, PingAm{x}), mix64(x));
@@ -358,8 +384,13 @@ std::uint64_t soak_round(World& world, std::size_t round, const Options& opt,
           }
           break;
         }
+        case 13: {  // awaited Unit AM: completes through an ack record
+          g_tally_issued.fetch_add(1, std::memory_order_relaxed);
+          tallies.push_back(world.exec_am_pe(dst, TallyAm{}));
+          break;
+        }
         default: {  // periodic settle: bound outstanding work mid-round
-          if (checked.size() > 32) drain_checked();
+          if (checked.size() + tallies.size() > 32) drain_checked();
           if (r % 50 == 9) world.wait_all();
           break;
         }
@@ -542,6 +573,16 @@ void soak_main(World& world, const Options& opt) {
       SOAK_CHECK(observed == announced, "atomic conservation", observed,
                  announced, me, round);
 
+      // Unit-AM conservation: every awaited TallyAm ran exactly once.
+      std::uint64_t tallied = 0;
+      for (pe_id p = 0; p < npes; ++p) {
+        tallied += g_tally[p].load(std::memory_order_relaxed);
+      }
+      const std::uint64_t issued =
+          g_tally_issued.load(std::memory_order_relaxed);
+      SOAK_CHECK(tallied == issued, "unit-am conservation", tallied, issued,
+                 me, round);
+
       const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - t0);
       const bool time_left =
@@ -557,8 +598,14 @@ void soak_main(World& world, const Options& opt) {
 
   world.barrier();
   if (me == 0) {
-    std::fprintf(stderr, "[stress_soak] %zu round(s), %zu PE(s), seed %llu\n",
-                 round, npes, static_cast<unsigned long long>(opt.seed));
+    std::fprintf(stderr,
+                 "[stress_soak] %zu round(s), %zu PE(s), seed %llu; PE 0 sent "
+                 "%llu ack record(s), relayed %llu record(s)\n",
+                 round, npes, static_cast<unsigned long long>(opt.seed),
+                 static_cast<unsigned long long>(
+                     world.metrics().counter("am.ack_records").get()),
+                 static_cast<unsigned long long>(
+                     world.metrics().counter("am.relayed_records").get()));
   }
   world.lamellae().free_symmetric(flag_off);
   world.lamellae().free_symmetric(arr_contrib_off);
@@ -578,6 +625,7 @@ int main(int argc, char** argv) {
   // commits, threshold flushes + buffer swaps, and large-record bypass.
   cfg.agg_threshold_bytes = 4096;
   cfg.metrics_mode = MetricsMode::kQuiet;  // copy-budget check needs counters
+  cfg.route = opt.route;
   // Trace-sample aggressively (1 in 7 requests) so the wire trace
   // extension, lane ts-patching, and stage histograms soak under the
   // sanitizers alongside everything else; the span-conservation invariant
@@ -598,6 +646,7 @@ int main(int argc, char** argv) {
     if (cfg.adapt == AdaptMode::kFull) cfg.admit_window = 64;
   }
 
+  g_tally = std::make_unique<std::atomic<std::uint64_t>[]>(opt.pes);
   run_world(opt.pes, [&](World& world) { soak_main(world, opt); }, cfg);
 
   const auto fails = g_failures.load();

@@ -141,28 +141,6 @@ TEST(CmdQueue, LargeRecordLeavesImmediatelyAfterStagedRecords) {
   }
 }
 
-TEST(CmdQueue, SendNowFlushesStagedFirst) {
-  ShmemLamellaeGroup group(2, {});
-  auto l0 = group.endpoint(0);
-  auto l1 = group.endpoint(1);
-  OutgoingQueues q(*l0, 1024);
-
-  auto w = q.begin_record(1);
-  w.buffer().write_pod<std::uint32_t>(0x11111111u);
-  q.commit_record(w, kNoProgress);
-
-  ByteBuffer big;
-  for (int i = 0; i < 64; ++i) big.write_pod<std::uint32_t>(0x22222222u);
-  q.send_now(1, std::move(big), kNoProgress);
-
-  std::size_t buffers = 0;
-  std::vector<std::byte> stream = drain_stream(*l1, &buffers);
-  EXPECT_EQ(buffers, 2u);  // staged buffer, then the direct one
-  std::uint32_t first = 0;
-  std::memcpy(&first, stream.data(), 4);
-  EXPECT_EQ(first, 0x11111111u);
-}
-
 // ---- aborted records roll back ----
 
 TEST(CmdQueue, UncommittedRecordIsRolledBack) {
@@ -332,6 +310,38 @@ TEST(Wire, SpanReadRecordWalksAggregatedBuffer) {
   ASSERT_TRUE(read_record(cursor, env, payload));
   EXPECT_EQ(env.type, kReplyType);
   ASSERT_EQ(payload.size(), 1u);
+  EXPECT_FALSE(read_record(cursor, env, payload));
+}
+
+TEST(Wire, AckRecordRoundTrip) {
+  // An ack record's payload is a serialized std::vector<request_id>:
+  // [u64 n][n x u64 id], behind an ordinary untraced header.
+  const std::vector<request_id> ids = {7, 3, 1ULL << 40, 12, 12, 99};
+  ByteBuffer payload_buf;
+  Serializer ser(payload_buf);
+  ser.put(ids);
+  ByteBuffer buf;
+  write_record(buf, {.type = kAckType, .flags = 0, .req_id = 0},
+               payload_buf.as_span());
+  write_record(buf, {.type = kReplyType, .flags = 0, .req_id = 5}, {});
+
+  std::span<const std::byte> cursor = buf.as_span();
+  AmEnvelope env;
+  std::span<const std::byte> payload;
+  ASSERT_TRUE(read_record(cursor, env, payload));
+  EXPECT_EQ(env.type, kAckType);
+  EXPECT_EQ(env.req_id, 0u);
+  EXPECT_FALSE(env.traced());
+  ASSERT_EQ(payload.size(), sizeof(std::uint64_t) * (1 + ids.size()));
+  Deserializer de(payload);
+  std::vector<request_id> back;
+  de.get(back);
+  EXPECT_EQ(back, ids);
+  EXPECT_EQ(de.remaining(), 0u);
+  // The next record starts right after the ack.
+  ASSERT_TRUE(read_record(cursor, env, payload));
+  EXPECT_EQ(env.type, kReplyType);
+  EXPECT_EQ(env.req_id, 5u);
   EXPECT_FALSE(read_record(cursor, env, payload));
 }
 

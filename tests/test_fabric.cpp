@@ -277,21 +277,4 @@ TEST(CmdQueue, FlushSendsResiduals) {
   EXPECT_EQ(l0->metrics().counter("cmdq.flush_explicit").get(), 1u);
 }
 
-TEST(CmdQueue, SendNowPreservesOrder) {
-  ShmemLamellaeGroup group(2, {});
-  auto l0 = group.endpoint(0);
-  OutgoingQueues out(*l0, 1 << 20);
-  std::vector<std::byte> staged(10, std::byte{1});
-  stage(out, 1, staged, [] {});
-  ByteBuffer big;
-  big.write_pod<std::uint64_t>(99);
-  out.send_now(1, std::move(big), [] {});
-  // Two buffers: the staged residual first, then the direct one.
-  FabricMessage m1, m2;
-  ASSERT_TRUE(group.fabric().poll(1, m1));
-  ASSERT_TRUE(group.fabric().poll(1, m2));
-  EXPECT_EQ(m1.payload.size(), 10u);
-  EXPECT_EQ(m2.payload.size(), 8u);
-}
-
 }  // namespace
