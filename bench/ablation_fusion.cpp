@@ -95,9 +95,8 @@ int main() {
           if (world.my_pe() == 0) {
             eager_ms = local_eager;
             fused_ms = local_fused;
-            snap = world.metrics_snapshot();
           }
-          world.barrier();
+          bench::snapshot_at_quiescence(world, snap);
         },
         cfg);
 

@@ -7,6 +7,8 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "core/world/world.hpp"
+#include "obs/metrics.hpp"
 
 namespace lamellar::bench {
 
@@ -46,6 +48,16 @@ inline bool impl_selected(const char* name) {
     return out;
   };
   return lower(name).find(lower(want)) != std::string::npos;
+}
+
+/// PE 0's metrics, read at global quiescence: the quiesce rounds run_world
+/// ends with, run here first.  A snapshot taken right after the kernel can
+/// catch a worker between the am.bytes_copied and am.bytes_serialized bumps
+/// of a reply record, and a plain barrier does not wait for Darc protocol
+/// traffic.  Collective: every PE calls it.
+inline void snapshot_at_quiescence(World& world, obs::MetricsSnapshot& out) {
+  world.finalize();
+  if (world.my_pe() == 0) out = world.metrics_snapshot();
 }
 
 }  // namespace lamellar::bench

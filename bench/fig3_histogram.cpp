@@ -41,9 +41,8 @@ int main() {
             mups = static_cast<double>(r.ops) * world.num_pes() /
                    static_cast<double>(r.elapsed_ns) * 1000.0;
             ok = r.verified;
-            snap = world.metrics_snapshot();
           }
-          world.barrier();
+          bench::snapshot_at_quiescence(world, snap);
         },
         cfg);
     std::printf("%-16s %12.1f %10s\n", backend_name(backend), mups,

@@ -38,9 +38,8 @@ int main() {
           if (world.my_pe() == 0) {
             ms = static_cast<double>(r.elapsed_ns) / 1e6;
             ok = r.verified;
-            snap = world.metrics_snapshot();
           }
-          world.barrier();
+          bench::snapshot_at_quiescence(world, snap);
         },
         cfg);
     std::printf("%-16s %14.2f %10s\n", randperm_impl_name(impl), ms,

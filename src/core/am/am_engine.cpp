@@ -103,24 +103,6 @@ void AmEngine::admit() {
   }
 }
 
-void AmEngine::register_completer(request_id rid, Completer completer) {
-  PendingShard& shard = pending_[rid % kPendingShards];
-  std::lock_guard lock(shard.mu);
-  shard.map.emplace(rid, std::move(completer));
-}
-
-AmEngine::Completer AmEngine::take_completer(request_id rid) {
-  PendingShard& shard = pending_[rid % kPendingShards];
-  std::lock_guard lock(shard.mu);
-  auto it = shard.map.find(rid);
-  if (it == shard.map.end()) {
-    throw Error("AmEngine: reply for unknown request " + std::to_string(rid));
-  }
-  Completer completer = std::move(it->second);
-  shard.map.erase(it);
-  return completer;
-}
-
 void AmEngine::charge_serialize(std::size_t bytes) {
   bytes_serialized_->inc(bytes);
   lamellae_.charge(lamellae_.params().serialize_ns(bytes));
@@ -150,7 +132,7 @@ void AmEngine::dispatch_record(const AmEnvelope& env,
     for (std::uint64_t i = 0; i < n; ++i) {
       request_id rid = 0;
       de.get(rid);
-      take_completer(rid)(unit);
+      completers_.take(rid)(unit);
     }
     return;
   }
@@ -170,7 +152,7 @@ void AmEngine::dispatch_record(const AmEnvelope& env,
                          static_cast<std::uint64_t>(dur), env.trace_span});
       }
     }
-    Completer completer = take_completer(env.req_id);
+    CompleterTable::Completer completer = completers_.take(env.req_id);
     // Deserialize the return value straight from the inbox buffer; the
     // borrowed view only needs to outlive this synchronous call.  Span
     // replies may stage a misaligned-fallback copy in the arena; the

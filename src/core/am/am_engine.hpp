@@ -16,14 +16,12 @@
 //    to local execution in exec_am_*).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hpp"
@@ -31,6 +29,7 @@
 #include "common/unique_function.hpp"
 #include "core/am/am_context.hpp"
 #include "core/am/am_registry.hpp"
+#include "core/am/completer_table.hpp"
 #include "core/am/wire.hpp"
 #include "core/control/controller.hpp"
 #include "core/scheduler/future.hpp"
@@ -139,9 +138,11 @@ class AmEngine {
   /// Core send: invoke `on_result` with exec()'s result once the AM has
   /// completed (possibly remotely).  `on_result` runs on a runtime thread.
   ///
-  /// Counter increments are relaxed: only the values matter (outstanding()
-  /// pairs its acquire loads with the release operations of the futures /
-  /// fabric that publish the results themselves).
+  /// `launched_` is bumped relaxed: only its value matters.  `completed_`
+  /// is bumped with release after `on_result` has run, so a wait_all()
+  /// that reads outstanding() == 0 (acquire) sees every callback's writes:
+  /// callbacks may write results straight into caller memory with no
+  /// future to publish them.
   template <ActiveMessageType Am, typename Fn>
   void send_cb(pe_id dst, Am am, Fn on_result) {
     using R = am_return_t<Am>;
@@ -166,35 +167,37 @@ class AmEngine {
           cb(invoke_exec<Am>(am, ctx));
         }
         am_executed_->inc();
-        completed_.fetch_add(1, std::memory_order_relaxed);
+        completed_.fetch_add(1, std::memory_order_release);
       });
       return;
     }
 
-    const request_id rid =
+    const request_id seq =
         next_request_id_.fetch_add(1, std::memory_order_relaxed);
     am_sent_remote_->inc();
     const sim_nanos sent_at = lamellae_.clock().now();
-    // Causal trace sampling: one in every trace_sample_ request ids carries
-    // a 16-byte wire extension and opens a span that the reply closes
+    // Causal trace sampling: one in every trace_sample_ requests carries a
+    // 16-byte wire extension and opens a span that the reply closes
     // (spans_opened == spans_closed at quiesce).  Only replied-to sends are
-    // sampled — a fire-and-forget span would never close.
+    // sampled — a fire-and-forget span would never close.  The span is
+    // named by the monotone sequence, not the table handle: a handle's low
+    // 48 bits repeat once one slot is reused 65,536 times.
     std::uint64_t span = 0;
-    if (trace_sample_ != 0 && rid % trace_sample_ == 0) {
-      span = make_trace_span(my_pe(), rid);
+    if (trace_sample_ != 0 && seq % trace_sample_ == 0) {
+      span = make_trace_span(my_pe(), seq);
       spans_opened_->inc();
       if (tracer_ != nullptr && tracer_->enabled()) {
-        tracer_->record({"am_send", "am", my_pe(), sent_at, 0, 's', rid, span});
+        tracer_->record({"am_send", "am", my_pe(), sent_at, 0, 's', seq, span});
       }
     }
-    register_completer(
-        rid, [this, sent_at, cb = std::move(on_result)](Deserializer& de) mutable {
+    const request_id rid = completers_.insert(
+        [this, sent_at, cb = std::move(on_result)](Deserializer& de) mutable {
           const sim_nanos now = lamellae_.clock().now();
           reply_latency_ns_->record(now >= sent_at ? now - sent_at : 0);
           R r{};
           de.get(r);
           cb(std::move(r));
-          completed_.fetch_add(1, std::memory_order_relaxed);
+          completed_.fetch_add(1, std::memory_order_release);
         });
     write_record_inplace(dst, AmTypeId<Am>::id, kWantsReply, rid, am, span,
                          /*allow_relay=*/!InlineAm<Am>);
@@ -328,8 +331,6 @@ class AmEngine {
   }
 
  private:
-  using Completer = UniqueFunction<void(Deserializer&)>;
-
   /// Serialize one record (header + payload) directly into the destination
   /// lane's active aggregation buffer under the lane lock — the single byte
   /// copy a steady-state remote AM performs.  The payload length is patched
@@ -465,12 +466,6 @@ class AmEngine {
     outgoing_.commit_record(w, progress_fn_);
   }
 
-  static constexpr std::size_t kPendingShards = 16;
-  struct alignas(kCacheLine) PendingShard {
-    std::mutex mu;
-    std::unordered_map<request_id, Completer> map;
-  };
-
   /// Deferred records of one inbox buffer, shared by the chunks that run
   /// them.
   using ChunkRecords = std::shared_ptr<std::vector<Task>>;
@@ -492,8 +487,6 @@ class AmEngine {
     std::vector<AckList> acks;
   };
 
-  void register_completer(request_id rid, Completer completer);
-  Completer take_completer(request_id rid);
   void charge_serialize(std::size_t bytes);
   void dispatch_buffer(ByteBuffer buffer, pe_id src);
 
@@ -584,12 +577,12 @@ class AmEngine {
   obs::Counter* spans_opened_;
   obs::Counter* spans_closed_;
 
-  // Reply completers, sharded by request id so completion bookkeeping on
-  // one record does not serialize against registration of the next.
-  std::array<PendingShard, kPendingShards> pending_;
+  // Reply completers, indexed by the request id on the wire.
+  CompleterTable completers_;
 
   // One cache line each: the issuing thread bumps the first two on every
   // send, whichever thread polls bumps completed_ on every completion.
+  // next_request_id_ numbers sends for trace sampling and span ids.
   alignas(kCacheLine) std::atomic<request_id> next_request_id_{1};
   alignas(kCacheLine) std::atomic<std::uint64_t> launched_{0};
   alignas(kCacheLine) std::atomic<std::uint64_t> completed_{0};

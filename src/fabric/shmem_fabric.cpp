@@ -1,10 +1,25 @@
 #include "fabric/shmem_fabric.hpp"
 
+#include <sys/mman.h>
+
 #include <cstring>
+#include <new>
 
 #include "common/error.hpp"
 
 namespace lamellar {
+
+ShmemFabric::Arena::Arena(std::size_t bytes) : bytes_(bytes) {
+  if (bytes == 0) return;
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  base_ = static_cast<std::byte*>(p);
+}
+
+ShmemFabric::Arena::~Arena() {
+  if (base_ != nullptr) munmap(base_, bytes_);
+}
 
 ShmemFabric::ShmemFabric(std::size_t num_pes, std::size_t arena_bytes,
                          PerfParams params, PeMapping mapping,
@@ -19,9 +34,7 @@ ShmemFabric::ShmemFabric(std::size_t num_pes, std::size_t arena_bytes,
   inboxes_.reserve(num_pes);
   fab_metrics_.reserve(num_pes);
   for (std::size_t i = 0; i < num_pes; ++i) {
-    // Value-initialize so freshly allocated regions read as zero, matching
-    // the registered-region behaviour higher layers rely on for flags.
-    arenas_.push_back(std::make_unique<std::byte[]>(arena_bytes));
+    arenas_.emplace_back(arena_bytes);
     inboxes_.push_back(std::make_unique<Inbox>());
     registries_.emplace_back(metrics_enabled);
     obs::MetricsRegistry& reg = registries_.back();
@@ -65,7 +78,7 @@ double ShmemFabric::transfer_cost_ns(pe_id a, pe_id b,
 void ShmemFabric::put(pe_id src, pe_id dst, std::size_t dst_offset,
                       std::span<const std::byte> data) {
   check_bounds(dst, dst_offset, data.size());
-  std::memcpy(arenas_[dst].get() + dst_offset, data.data(), data.size());
+  std::memcpy(arenas_[dst].base() + dst_offset, data.data(), data.size());
   charge(src, transfer_cost_ns(src, dst, data.size()));
   fab_metrics_[src].puts->inc();
   fab_metrics_[src].bytes_put->inc(data.size());
@@ -74,7 +87,7 @@ void ShmemFabric::put(pe_id src, pe_id dst, std::size_t dst_offset,
 void ShmemFabric::get(pe_id dst, pe_id src_remote, std::size_t remote_offset,
                       std::span<std::byte> out) {
   check_bounds(src_remote, remote_offset, out.size());
-  std::memcpy(out.data(), arenas_[src_remote].get() + remote_offset,
+  std::memcpy(out.data(), arenas_[src_remote].base() + remote_offset,
               out.size());
   charge(dst, transfer_cost_ns(dst, src_remote, out.size()));
   fab_metrics_[dst].gets->inc();
@@ -85,7 +98,7 @@ void ShmemFabric::get_pipelined(pe_id dst, pe_id src_remote,
                                 std::size_t remote_offset,
                                 std::span<std::byte> out) {
   check_bounds(src_remote, remote_offset, out.size());
-  std::memcpy(out.data(), arenas_[src_remote].get() + remote_offset,
+  std::memcpy(out.data(), arenas_[src_remote].base() + remote_offset,
               out.size());
   if (dst == src_remote || mapping_.same_node(dst, src_remote)) {
     charge(dst, params_.memcpy_ns(out.size()));
@@ -111,7 +124,7 @@ std::uint64_t ShmemFabric::atomic_fetch_add_u64(pe_id src, pe_id dst,
   charge(src, src == dst ? params_.atomic_store_ns
                          : transfer_cost_ns(src, dst, sizeof(std::uint64_t)));
   fab_metrics_[src].atomics->inc();
-  return word_at(arenas_[dst].get(), offset)
+  return word_at(arenas_[dst].base(), offset)
       .fetch_add(v, std::memory_order_acq_rel);
 }
 
@@ -121,7 +134,7 @@ std::uint64_t ShmemFabric::atomic_load_u64(pe_id src, pe_id dst,
   charge(src, src == dst ? params_.atomic_store_ns
                          : transfer_cost_ns(src, dst, sizeof(std::uint64_t)));
   fab_metrics_[src].atomics->inc();
-  return word_at(arenas_[dst].get(), offset).load(std::memory_order_acquire);
+  return word_at(arenas_[dst].base(), offset).load(std::memory_order_acquire);
 }
 
 void ShmemFabric::atomic_store_u64(pe_id src, pe_id dst, std::size_t offset,
@@ -130,7 +143,7 @@ void ShmemFabric::atomic_store_u64(pe_id src, pe_id dst, std::size_t offset,
   charge(src, src == dst ? params_.atomic_store_ns
                          : transfer_cost_ns(src, dst, sizeof(std::uint64_t)));
   fab_metrics_[src].atomics->inc();
-  word_at(arenas_[dst].get(), offset).store(v, std::memory_order_release);
+  word_at(arenas_[dst].base(), offset).store(v, std::memory_order_release);
 }
 
 bool ShmemFabric::atomic_cas_u64(pe_id src, pe_id dst, std::size_t offset,
@@ -140,7 +153,7 @@ bool ShmemFabric::atomic_cas_u64(pe_id src, pe_id dst, std::size_t offset,
   charge(src, src == dst ? params_.atomic_store_ns
                          : transfer_cost_ns(src, dst, sizeof(std::uint64_t)));
   fab_metrics_[src].atomics->inc();
-  return word_at(arenas_[dst].get(), offset)
+  return word_at(arenas_[dst].base(), offset)
       .compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
 }
 

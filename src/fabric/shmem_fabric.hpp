@@ -16,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -47,7 +48,7 @@ class ShmemFabric {
 
   [[nodiscard]] std::size_t num_pes() const { return clocks_.size(); }
   [[nodiscard]] std::size_t arena_bytes() const { return arena_bytes_; }
-  [[nodiscard]] std::byte* arena(pe_id pe) { return arenas_[pe].get(); }
+  [[nodiscard]] std::byte* arena(pe_id pe) { return arenas_[pe].base(); }
   [[nodiscard]] const PerfParams& params() const { return params_; }
   [[nodiscard]] const PeMapping& mapping() const { return mapping_; }
 
@@ -113,6 +114,23 @@ class ShmemFabric {
                                         std::size_t bytes) const;
 
  private:
+  /// One PE's arena: a private anonymous mapping, so fresh regions read as
+  /// zero (the registered-region behaviour higher layers rely on for flags)
+  /// and pages are committed on first touch instead of zeroed at bring-up.
+  class Arena {
+   public:
+    explicit Arena(std::size_t bytes);
+    Arena(Arena&& o) noexcept
+        : base_(std::exchange(o.base_, nullptr)), bytes_(o.bytes_) {}
+    Arena& operator=(Arena&&) = delete;
+    ~Arena();
+    [[nodiscard]] std::byte* base() const { return base_; }
+
+   private:
+    std::byte* base_ = nullptr;
+    std::size_t bytes_ = 0;
+  };
+
   struct Inbox {
     mutable std::mutex mu;
     std::deque<FabricMessage> messages;
@@ -139,7 +157,7 @@ class ShmemFabric {
   PerfParams params_;
   PeMapping mapping_;
   bool virtual_time_;
-  std::vector<std::unique_ptr<std::byte[]>> arenas_;
+  std::vector<Arena> arenas_;
   std::vector<VirtualClock> clocks_;
   std::deque<obs::MetricsRegistry> registries_;  // deque: non-movable elems
   std::vector<FabricCounters> fab_metrics_;
