@@ -8,11 +8,14 @@
 #include <deque>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/scratch_arena.hpp"
 #include "common/serialize.hpp"
 #include "common/unique_function.hpp"
 #include "core/am/completer_table.hpp"
+#include "core/array/batch.hpp"
 #include "core/scheduler/deque.hpp"
 #include "lamellae/heap.hpp"
 
@@ -157,6 +160,102 @@ void BM_CompleterSenderTaker(benchmark::State& state) {
   if (state.thread_index() == 0) state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CompleterSenderTaker)->Threads(2)->UseRealTime();
+
+// ---- array element ops: one case per layer, plus the hardware floor ----
+//
+// Shapes of the perfbench histogram: a Block map of 2,000 elements over 2
+// ranks (1,000 slots per PE) and batches of 100k random indices.  Each
+// iteration is one batch; items are elements, so ns/element is the
+// reciprocal of the reported rate (times the thread count for the
+// two-thread cases, whose rate sums both threads).
+
+constexpr std::size_t kSlotsPerPe = 1000;
+constexpr std::size_t kBatch = 100'000;
+
+std::vector<std::uint64_t> random_indices(std::size_t n, std::uint64_t bound,
+                                          std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::uint64_t> out(n);
+  for (auto& i : out) i = rng.uniform(bound);
+  return out;
+}
+
+// The perfbench map, built from a length the compiler cannot see, so its
+// divisor is no compile-time constant (as in an array's state).
+DistributionMap histo_map() {
+  std::size_t len = 2 * kSlotsPerPe;
+  benchmark::DoNotOptimize(len);
+  return DistributionMap(Distribution::kBlock, len, 2);
+}
+
+// Owner placement of one index (DistributionMap::place).
+void BM_Place(benchmark::State& state) {
+  const DistributionMap map = histo_map();
+  const auto idxs = random_indices(kBatch, map.global_len(), 1);
+  for (auto _ : state) {
+    std::uint64_t acc = 0;
+    for (const std::uint64_t i : idxs) {
+      const Placement p = map.place(i);
+      acc += p.rank + p.local_index;
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_Place);
+
+// The batch plan: bounds check, placement, bucket counts and the stable
+// scatter into per-rank chunks, staged in the thread's scratch arena.
+void BM_PlanChunks(benchmark::State& state) {
+  const DistributionMap map = histo_map();
+  const auto idxs = random_indices(state.range(0), map.global_len(), 2);
+  ScratchArena& arena = ScratchArena::local();
+  for (auto _ : state) {
+    ArenaFrame frame(arena);
+    const auto plan = array_detail::plan_chunks(
+        arena, map, idxs, 0, map.global_len(), 10'000, false);
+    benchmark::DoNotOptimize(plan.chunks.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PlanChunks)->Arg(100'000);
+
+// One PE's 1,000-slot table, shared by the benchmark's threads.
+std::array<std::uint64_t, kSlotsPerPe> g_table{};
+
+// The owner-side kernel of a single-stage native add (shared operand, no
+// fetch) over one batch of local slots.
+void BM_NativeAddStage(benchmark::State& state) {
+  const auto locals =
+      random_indices(kBatch, kSlotsPerPe, 3 + state.thread_index());
+  const FusedStage stage{OpCode::kAdd, 0};
+  const std::uint64_t one = 1;
+  for (auto _ : state) {
+    array_detail::apply_native_stage<std::uint64_t>(
+        g_table.data(), stage, {&one, 1}, locals, FetchMode::kNone, nullptr);
+    benchmark::DoNotOptimize(g_table.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_NativeAddStage)->Threads(1)->Threads(2)->UseRealTime();
+
+// Speed-of-light floor for the kernel above: a bare relaxed fetch_add per
+// index over the same table.
+void BM_FetchAddFloor(benchmark::State& state) {
+  const auto locals =
+      random_indices(kBatch, kSlotsPerPe, 3 + state.thread_index());
+  for (auto _ : state) {
+    for (const std::uint64_t i : locals) {
+      std::atomic_ref<std::uint64_t>(g_table[i]).fetch_add(
+          1, std::memory_order_relaxed);
+    }
+    benchmark::DoNotOptimize(g_table.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_FetchAddFloor)->Threads(1)->Threads(2)->UseRealTime();
 
 }  // namespace
 

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -331,8 +332,111 @@ T combine(OpCode op, T cur, T operand) {
   throw Error("unknown op code");
 }
 
+/// Call `f` with `op` as a compile-time constant
+/// (std::integral_constant<OpCode, op>): one switch, outside whatever loop
+/// `f` runs, so each op gets its own inlined loop body.
+template <typename F>
+decltype(auto) visit_op(OpCode op, F&& f) {
+  switch (op) {
+#define LAMELLAR_VISIT_OP(CODE) \
+  case OpCode::CODE:            \
+    return f(std::integral_constant<OpCode, OpCode::CODE>{});
+    LAMELLAR_VISIT_OP(kAdd)
+    LAMELLAR_VISIT_OP(kSub)
+    LAMELLAR_VISIT_OP(kMul)
+    LAMELLAR_VISIT_OP(kDiv)
+    LAMELLAR_VISIT_OP(kRem)
+    LAMELLAR_VISIT_OP(kAnd)
+    LAMELLAR_VISIT_OP(kOr)
+    LAMELLAR_VISIT_OP(kXor)
+    LAMELLAR_VISIT_OP(kShl)
+    LAMELLAR_VISIT_OP(kShr)
+    LAMELLAR_VISIT_OP(kStore)
+    LAMELLAR_VISIT_OP(kLoad)
+    LAMELLAR_VISIT_OP(kSwap)
+    LAMELLAR_VISIT_OP(kCompareExchange)
+#undef LAMELLAR_VISIT_OP
+  }
+  throw Error("unknown op code");
+}
+
+/// One native atomic read-modify-write of op `kOp` on `ref`; returns the
+/// previous value.  The ops the ISA has an RMW for use it; mul, div, rem
+/// and the shifts run a CAS loop.  Declared inline so that GCC also
+/// inlines the CAS loops into the element loops of native_stage_loop.
+template <OpCode kOp, typename T>
+inline T native_rmw(std::atomic_ref<T> ref, T operand) {
+  constexpr auto kAcqRel = std::memory_order_acq_rel;
+  if constexpr (kOp == OpCode::kAdd) {
+    return ref.fetch_add(operand, kAcqRel);
+  } else if constexpr (kOp == OpCode::kSub) {
+    return ref.fetch_sub(operand, kAcqRel);
+  } else if constexpr (kOp == OpCode::kAnd) {
+    return ref.fetch_and(operand, kAcqRel);
+  } else if constexpr (kOp == OpCode::kOr) {
+    return ref.fetch_or(operand, kAcqRel);
+  } else if constexpr (kOp == OpCode::kXor) {
+    return ref.fetch_xor(operand, kAcqRel);
+  } else if constexpr (kOp == OpCode::kLoad) {
+    return ref.load(std::memory_order_acquire);
+  } else if constexpr (kOp == OpCode::kStore || kOp == OpCode::kSwap) {
+    return ref.exchange(operand, kAcqRel);
+  } else {
+    T cur = ref.load(std::memory_order_acquire);
+    while (!ref.compare_exchange_weak(cur, combine(kOp, cur, operand),
+                                      kAcqRel)) {
+    }
+    return cur;
+  }
+}
+
+/// The element loop of apply_native_stage for one op.  Everything arrives
+/// by value, so the loop keeps it in registers across the RMWs.
+template <OpCode kOp, typename T>
+void native_stage_loop(T* slab, const std::uint64_t* locals, std::size_t n,
+                       const T* ops, bool per_elem, FetchMode fetch,
+                       T* results) {
+  auto rmw = [slab](std::uint64_t local, T v) {
+    return native_rmw<kOp>(std::atomic_ref<T>(slab[local]), v);
+  };
+  if (results == nullptr) {
+    if (per_elem) {
+      for (std::size_t j = 0; j < n; ++j) rmw(locals[j], ops[j]);
+    } else {
+      const T v = ops[0];
+      for (std::size_t j = 0; j < n; ++j) rmw(locals[j], v);
+    }
+    return;
+  }
+  const bool pre = fetch == FetchMode::kPre;
+  const std::size_t stride = per_elem ? 1 : 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    const T v = ops[j * stride];
+    const T prev = rmw(locals[j], v);
+    results[j] = pre ? prev : combine(kOp, prev, v);
+  }
+}
+
+/// A one-stage chain on a native atomic slab: the op's RMW is selected once
+/// per chunk and runs inline for every element.  `ops` is the stage's
+/// operand region (one shared value or one per element); when `results` is
+/// non-null, results[j] receives element j's value from before the op
+/// (FetchMode::kPre) or after it (kPost).  Compare-exchange has its own
+/// loop in apply_fused_sink.
+template <typename T>
+void apply_native_stage(T* slab, const FusedStage& s, std::span<const T> ops,
+                        std::span<const std::uint64_t> locals,
+                        FetchMode fetch, T* results) {
+  visit_op(s.op, [&](auto op) {
+    native_stage_loop<decltype(op)::value>(slab, locals.data(), locals.size(),
+                                           ops.data(), s.per_elem != 0,
+                                           fetch, results);
+  });
+}
+
 /// Apply one op to `slot` under this array mode's safety regime; returns the
-/// previous value.
+/// previous value.  Serves the put/get AMs, fill and single-element reads;
+/// element ops go through apply_fused_sink.
 template <typename T>
 T apply_one(ArrayState<T>& st, std::size_t local, OpCode op, T operand) {
   T* slot = st.local_slab().data() + local;
@@ -359,32 +463,10 @@ T apply_one(ArrayState<T>& st, std::size_t local, OpCode op, T operand) {
     }
     case ArrayMode::kAtomicNative: {
       if constexpr (kNativeAtomicCapable<T>) {
-        std::atomic_ref<T> ref(*slot);
-        switch (op) {
-          case OpCode::kAdd:
-            return ref.fetch_add(operand, std::memory_order_acq_rel);
-          case OpCode::kSub:
-            return ref.fetch_sub(operand, std::memory_order_acq_rel);
-          case OpCode::kAnd:
-            return ref.fetch_and(operand, std::memory_order_acq_rel);
-          case OpCode::kOr:
-            return ref.fetch_or(operand, std::memory_order_acq_rel);
-          case OpCode::kXor:
-            return ref.fetch_xor(operand, std::memory_order_acq_rel);
-          case OpCode::kLoad:
-            return ref.load(std::memory_order_acquire);
-          case OpCode::kStore:
-          case OpCode::kSwap:
-            return ref.exchange(operand, std::memory_order_acq_rel);
-          default: {
-            // mul/div/rem/shifts: CAS loop.
-            T cur = ref.load(std::memory_order_acquire);
-            while (!ref.compare_exchange_weak(cur, combine(op, cur, operand),
-                                              std::memory_order_acq_rel)) {
-            }
-            return cur;
-          }
-        }
+        return visit_op(op, [&](auto k) {
+          return native_rmw<decltype(k)::value>(std::atomic_ref<T>(*slot),
+                                                operand);
+        });
       }
       throw Error("native atomic mode on incompatible element type");
     }
@@ -514,8 +596,8 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
     case ArrayMode::kAtomicNative: {
       if constexpr (kNativeAtomicCapable<T>) {
         if (stages.size() == 1) {
-          // One stage has nothing to fold: the dedicated native RMW
-          // (fetch_add &c. in apply_one, one compare_exchange_strong for a
+          // One stage has nothing to fold: the op's own native RMW
+          // (apply_native_stage; one compare_exchange_strong for a
           // compare-exchange) beats the load+CAS round trip the general
           // chain loop pays.
           const FusedStage s = stages[0];
@@ -530,13 +612,7 @@ void apply_fused_sink(ArrayState<T>& st, std::span<const FusedStage> stages,
             }
             return;
           }
-          for (std::size_t j = 0; j < n; ++j) {
-            const T operand = s.per_elem != 0 ? ops[j] : ops[0];
-            const T prev = apply_one<T>(st, locals[j], s.op, operand);
-            if (results != nullptr) {
-              results[j] = pre ? prev : combine(s.op, prev, operand);
-            }
-          }
+          apply_native_stage<T>(slab, s, ops, locals, fetch, results);
           return;
         }
         for (std::size_t j = 0; j < n; ++j) {

@@ -100,14 +100,13 @@ class ArrayBase {
 
   /// Owner placement of view-relative index `i`.
   [[nodiscard]] Placement place(global_index i) const {
+    if (i >= view_len_) throw_bounds("array index", i, view_len_);
     return state_->map.place(view_start_ + i);
   }
 
   /// A view restricted to [start, start+len) of this view.
   [[nodiscard]] Derived sub_array(global_index start, std::size_t len) const {
-    if (start + len > view_len_) {
-      throw_bounds("sub_array", start + len, view_len_);
-    }
+    check_range(start, len, "sub_array");
     Derived out;
     out.state_ = state_;
     out.view_start_ = view_start_ + start;
@@ -327,8 +326,13 @@ class ArrayBase {
     view_len_ = state_->map.global_len();
   }
 
-  void check_range(global_index start, std::size_t n) const {
-    if (start + n > view_len_) throw_bounds("array range", start + n, view_len_);
+  /// Throw unless [start, start + n) lies inside the view, naming the first
+  /// index outside it; written so that no sum can wrap past 2^64.
+  void check_range(global_index start, std::size_t n,
+                   const char* what = "array range") const {
+    if (n > view_len_ || start > view_len_ - n) {
+      throw_bounds(what, std::max(start, view_len_), view_len_);
+    }
   }
 
   static T first_value(std::vector<T> out) { return out[0]; }
@@ -336,14 +340,13 @@ class ArrayBase {
 
   /// One element op as a chain over `idxs`: the stage `rec`, or none (a
   /// load) when null.  `finish` maps the fetched values, in caller order,
-  /// to the future's value.
+  /// to the future's value.  The chain's plan pass bounds-checks `idxs`.
   template <typename R, typename Finish>
   Future<R> chain(std::span<const global_index> idxs,
                   const FusedStageRec<T>* rec, FetchMode fetch,
                   Finish finish) {
-    for (auto i : idxs) check_range(i, 1);
     return array_detail::dispatch_chain<R>(
-        state_, view_start_, idxs,
+        state_, view_start_, view_len_, idxs,
         std::span<const FusedStageRec<T>>(rec, rec != nullptr ? 1 : 0), fetch,
         std::move(finish));
   }

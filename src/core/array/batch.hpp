@@ -42,26 +42,29 @@ struct BatchPlan {
   std::span<ChunkRef> chunks;
 };
 
-/// Group indices by owner and split at the batch limit — two passes over
-/// the indices (place + count, then stable bucket scatter), all staging in
-/// the arena.  `want_positions` = false skips the caller-position table
-/// entirely (non-fetch many-one batches never read it).
-template <typename T>
-BatchPlan plan_chunks(ScratchArena& arena, const ArrayState<T>& st,
-                      std::span<const global_index> idxs,
-                      std::size_t view_start, std::size_t batch_limit,
-                      bool want_positions) {
+/// Group view-relative indices by owner and split at the batch limit —
+/// two passes over the indices (bounds check + place + count, then stable
+/// bucket scatter), all staging in the arena.  The first pass is the only
+/// bounds check an element op makes: an index at or past `view_len` throws
+/// BoundsError before anything is applied or sent.  `want_positions` =
+/// false skips the caller-position table entirely (non-fetch many-one
+/// batches never read it).
+inline BatchPlan plan_chunks(ScratchArena& arena, const DistributionMap& map,
+                             std::span<const global_index> idxs,
+                             std::size_t view_start, std::size_t view_len,
+                             std::size_t batch_limit, bool want_positions) {
   BatchPlan plan;
   const std::size_t n = idxs.size();
   if (n == 0) return plan;
-  const std::size_t nranks = st.map.num_ranks();
+  const std::size_t nranks = map.num_ranks();
 
   auto ranks = arena.alloc_span<std::uint32_t>(n);
   auto locals = arena.alloc_span<std::uint64_t>(n);
   auto starts = arena.alloc_span<std::size_t>(nranks + 1);
   std::memset(starts.data(), 0, starts.size_bytes());
   for (std::size_t i = 0; i < n; ++i) {
-    const Placement p = st.map.place(view_start + idxs[i]);
+    if (idxs[i] >= view_len) throw_bounds("array index", idxs[i], view_len);
+    const Placement p = map.place_unchecked(view_start + idxs[i]);
     ranks[i] = static_cast<std::uint32_t>(p.rank);
     locals[i] = p.local_index;
     ++starts[p.rank];

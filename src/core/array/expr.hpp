@@ -262,7 +262,7 @@ class LazyChain {
     if (!open_ && !fetch) return;
     if (!run_) run_ = std::make_shared<array_detail::FusedRun<T>>();
     array_detail::fuse_dispatch<T>(
-        state_, view_start_, open_idxs_,
+        state_, view_start_, view_len_, open_idxs_,
         std::span<const StageRec>(stages_.data(), nstages_),
         fetch ? FetchMode::kPost : FetchMode::kNone, run_);
     ++groups_;

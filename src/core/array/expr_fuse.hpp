@@ -14,6 +14,7 @@
 // performs no planner heap allocation (array.plan_allocs).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <span>
@@ -48,15 +49,19 @@ struct FusedRun {
   }
 };
 
-/// Lower one chain group: a single plan pass over `idxs`, then per chunk
-/// either a local composed-kernel application or one ArrayFusedAm.  Unless
-/// `fetch` is kNone, the pre- or post-chain element values scatter into
-/// run->out in caller order (the run's positions table serves multi-chunk
-/// scatter).  Each dispatched chunk adds one count to run->remaining before
-/// any completion can observe it.
+/// Lower one chain group: a single plan pass over the view-relative `idxs`
+/// (which also bounds-checks them against `view_len`), then per chunk
+/// either a local composed-kernel application or one ArrayFusedAm.  Chunks
+/// go out remote-first: the walk starts at the first rank after the
+/// caller's and wraps, so the caller's own chunks apply last, while the
+/// peers already work on theirs (and P callers do not all hit rank 0
+/// first).  Unless `fetch` is kNone, the pre- or post-chain element values
+/// scatter into run->out in caller order (the run's positions table serves
+/// multi-chunk scatter).  Each dispatched chunk adds one count to
+/// run->remaining before any completion can observe it.
 template <typename T>
 void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
-                   std::span<const global_index> idxs,
+                   std::size_t view_len, std::span<const global_index> idxs,
                    std::span<const FusedStageRec<T>> recs, FetchMode fetch,
                    const std::shared_ptr<FusedRun<T>>& run) {
   ArrayState<T>& st = *state;
@@ -74,7 +79,7 @@ void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
   // Positions drive fetch-result scatter and per-element operand gather; a
   // non-fetch shared-operand batch (the histogram hot path) needs neither.
   const bool need_pos = want || any_per_elem;
-  auto plan = plan_chunks(arena, st, idxs, view_start,
+  auto plan = plan_chunks(arena, st.map, idxs, view_start, view_len,
                           st.world->config().batch_op_limit, need_pos);
   // The chain applies k element ops per index in one pass (a load is one
   // op); account for all of them.
@@ -98,8 +103,16 @@ void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
     }
   }
   const std::size_t my_rank = st.my_rank();
+  // Chunks are in rank order: start past the caller's own.
+  const std::size_t nchunks = plan.chunks.size();
+  const std::size_t first = static_cast<std::size_t>(
+      std::partition_point(
+          plan.chunks.begin(), plan.chunks.end(),
+          [my_rank](const ChunkRef& c) { return c.rank <= my_rank; }) -
+      plan.chunks.begin());
   std::size_t remote_chunks = 0;
-  for (const ChunkRef& chunk : plan.chunks) {
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    const ChunkRef& chunk = plan.chunks[(first + c) % nchunks];
     const std::span<const std::uint64_t> locals =
         plan.locals_flat.subspan(chunk.offset, chunk.len);
     const std::span<const std::size_t> pos =
@@ -177,12 +190,12 @@ void fuse_dispatch(const Darc<ArrayState<T>>& state, std::size_t view_start,
 /// can fire early.
 template <typename R, typename T, typename Finish>
 Future<R> dispatch_chain(const Darc<ArrayState<T>>& state,
-                         std::size_t view_start,
+                         std::size_t view_start, std::size_t view_len,
                          std::span<const global_index> idxs,
                          std::span<const FusedStageRec<T>> recs,
                          FetchMode fetch, Finish finish) {
   auto run = std::make_shared<FusedRun<T>>();
-  fuse_dispatch<T>(state, view_start, idxs, recs, fetch, run);
+  fuse_dispatch<T>(state, view_start, view_len, idxs, recs, fetch, run);
   Promise<R> promise;
   auto fut = promise.future();
   run->on_complete = UniqueFunction<void()>{

@@ -414,7 +414,8 @@ bool OneSidedIter<T>::refill() {
   }
   // A zero-stage chain: the fused batch_load.
   buffer_ = st.world->block_on(array_detail::dispatch_chain<std::vector<T>>(
-      state_, view_start_, idxs, {}, FetchMode::kPre, std::identity{}));
+      state_, view_start_, view_len_, idxs, {}, FetchMode::kPre,
+      std::identity{}));
   buffer_pos_ = 0;
   cursor_ += window;
   return !buffer_.empty();

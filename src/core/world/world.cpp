@@ -98,8 +98,9 @@ World::World(WorldBackend& backend, std::unique_ptr<Lamellae> lamellae,
     : backend_(backend), group_(group), lamellae_(std::move(lamellae)) {
   // The pool's idle hook needs the engine, which needs the pool: break the
   // cycle with a deferred indirection.  The slot is atomic because workers
-  // start polling it before the engine exists; the release store below
-  // publishes the fully constructed engine to their acquire loads.
+  // start polling it before the engine exists; the release store at the end
+  // publishes the engine to their acquire loads only once everything its
+  // dispatch reads (the bound world, darcs_, onesided_) is in place.
   auto engine_slot = std::make_shared<std::atomic<AmEngine*>>(nullptr);
   pool_ = std::make_unique<ThreadPool>(
       backend.config().threads_per_pe,
@@ -113,10 +114,10 @@ World::World(WorldBackend& backend, std::unique_ptr<Lamellae> lamellae,
       std::chrono::microseconds(backend.config().park_timeout_us));
   engine_ = std::make_unique<AmEngine>(*lamellae_, *pool_, backend.config(),
                                        &backend.tracer());
-  engine_slot->store(engine_.get(), std::memory_order_release);
   engine_->bind_world(this);
   darcs_ = std::make_unique<DarcManager>(*engine_);
   onesided_ = std::make_unique<OneSidedRegistry>(*engine_);
+  engine_slot->store(engine_.get(), std::memory_order_release);
 }
 
 const RuntimeConfig& World::config() const { return backend_.config(); }

@@ -3,7 +3,10 @@
 // distributions (parameterized property sweeps live in test_array_props).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "lamellar.hpp"
 
@@ -31,6 +34,74 @@ TEST(Array, BlockDistributionMath) {
   EXPECT_EQ(p.rank, 2u);
   EXPECT_EQ(p.local_index, 1u);
   EXPECT_EQ(map.global_of(2, 1), 7u);
+}
+
+// The reciprocal that replaces the hardware divide is exact: small
+// divisors, powers of two and random 64-bit divisors, each at the numerators
+// around its multiples and at the ends of the 64-bit range.
+TEST(Array, ReciprocalDividesExactly) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  Xoshiro256 rng(11);
+  std::vector<std::uint64_t> divisors;
+  for (std::uint64_t d = 1; d <= 1000; ++d) divisors.push_back(d);
+  for (int b = 0; b < 64; ++b) divisors.push_back(std::uint64_t{1} << b);
+  for (int k = 0; k < 2000; ++k) {
+    divisors.push_back(std::max<std::uint64_t>(1, rng.next() >> (k % 64)));
+  }
+  divisors.push_back(kMax);
+  for (const std::uint64_t d : divisors) {
+    const Reciprocal r(d);
+    const std::uint64_t top = kMax / d * d;  // the largest multiple of d
+    for (const std::uint64_t n :
+         {std::uint64_t{0}, std::uint64_t{1}, d - 1, d, d + 1, top - 1, top,
+          kMax - 1, kMax, rng.next(), rng.next() >> (rng.next() % 64)}) {
+      ASSERT_EQ(r.quotient(n), n / d) << "n=" << n << " d=" << d;
+    }
+  }
+}
+
+// place() agrees with plain division for Block (divisor: the slab
+// capacity) and Cyclic (divisor: the rank count) maps, on lengths either
+// side of 2^32 and rank counts up to 2048: index 0, len - 1, every block
+// boundary +-1 and a seeded random sample; global_of inverts it.
+TEST(Array, PlacementMatchesDivision) {
+  const std::uint64_t kLens[] = {1,
+                                 10,
+                                 1009,
+                                 65537,
+                                 (std::uint64_t{1} << 32) - 1,
+                                 std::uint64_t{1} << 32,
+                                 (std::uint64_t{1} << 32) + 1,
+                                 (std::uint64_t{1} << 41) + 3};
+  const std::size_t kRanks[] = {1, 2, 3, 7, 64, 2048};
+  Xoshiro256 rng(2024);
+  for (const Distribution dist :
+       {Distribution::kBlock, Distribution::kCyclic}) {
+    const bool block = dist == Distribution::kBlock;
+    for (const std::uint64_t len : kLens) {
+      for (const std::size_t nranks : kRanks) {
+        const DistributionMap map(dist, len, nranks);
+        const std::uint64_t per = map.per_rank_capacity();
+        std::vector<std::uint64_t> idxs{0, len - 1};
+        for (std::uint64_t b = per; b < len; b += per) {
+          idxs.insert(idxs.end(), {b - 1, b});
+          if (b + 1 < len) idxs.push_back(b + 1);
+        }
+        for (int k = 0; k < 256; ++k) idxs.push_back(rng.uniform(len));
+        const std::uint64_t d = block ? per : nranks;
+        for (const std::uint64_t i : idxs) {
+          const Placement p = map.place(i);
+          ASSERT_EQ(p.rank, block ? i / d : i % d)
+              << "len=" << len << " ranks=" << nranks << " i=" << i;
+          ASSERT_EQ(p.local_index, block ? i % d : i / d)
+              << "len=" << len << " ranks=" << nranks << " i=" << i;
+          ASSERT_LT(p.local_index, map.local_len(p.rank));
+          ASSERT_EQ(map.global_of(p.rank, p.local_index), i);
+        }
+        EXPECT_THROW((void)map.place(len), BoundsError);
+      }
+    }
+  }
 }
 
 TEST(Array, CyclicDistributionMath) {
@@ -346,6 +417,48 @@ TEST(Array, OutOfBoundsThrows) {
         AtomicArray<std::uint64_t>::create(world, 8, Distribution::kBlock);
     EXPECT_THROW(world.block_on(arr.load(8)), BoundsError);
     EXPECT_THROW(arr.sub_array(4, 5), BoundsError);
+    world.barrier();
+  });
+}
+
+// On a sub-array view, indices near 2^64 (where start + n wraps) throw
+// BoundsError from every entry point, the error names the offending index,
+// and no element anywhere changes — also when the only bad index of a batch
+// follows valid local and remote ones.
+TEST(Array, SubArrayBoundsDoNotWrap) {
+  run_world(2, [](World& world) {
+    auto arr =
+        AtomicArray<std::uint64_t>::create(world, 16, Distribution::kBlock);
+    arr.fill(7);
+    auto view = arr.sub_array(4, 8);  // global 4..11: PE 0 owns 4..7
+    constexpr global_index kMax = ~global_index{0};
+    if (world.my_pe() == 0) {
+      const std::vector<global_index> wrap{kMax};
+      const std::vector<global_index> late_bad{0, 5, 1, 6, 8};
+      const std::vector<std::uint64_t> vals{1, 2, 3};
+      EXPECT_THROW(world.block_on(view.batch_add(wrap, 1)), BoundsError);
+      EXPECT_THROW(world.block_on(view.batch_fetch_add(late_bad, 1)),
+                   BoundsError);
+      EXPECT_THROW(world.block_on(view.batch_add(kMax, vals)), BoundsError);
+      EXPECT_THROW(world.block_on(view.add(kMax, 1)), BoundsError);
+      EXPECT_THROW(world.block_on(view.put(kMax - 1, vals)), BoundsError);
+      EXPECT_THROW(world.block_on(view.get(kMax, 2)), BoundsError);
+      EXPECT_THROW((void)view.sub_array(kMax - 1, 3), BoundsError);
+      EXPECT_THROW((void)view.place(kMax), BoundsError);
+      try {
+        world.block_on(view.batch_add(wrap, 1));
+        ADD_FAILURE() << "no BoundsError";
+      } catch (const BoundsError& e) {
+        EXPECT_NE(std::string(e.what()).find(std::to_string(kMax)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    world.barrier();
+    for (std::size_t i = 0; i < arr.local_len(); ++i) {
+      EXPECT_EQ(arr.load_local(i), 7u) << "PE " << world.my_pe() << " slot "
+                                       << i;
+    }
     world.barrier();
   });
 }

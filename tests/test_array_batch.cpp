@@ -577,4 +577,157 @@ TEST(ArrayBatch, OneIdxManyValsFetchPreValuesInOrder) {
       cfg);
 }
 
+// ---------------------------------------------------------------------------
+// Single-stage native kernels: every op, operand form and fetch form against
+// a serial reference, on chunks applied by both PEs
+// ---------------------------------------------------------------------------
+
+using U64 = std::uint64_t;
+using Idxs = std::span<const global_index>;
+using Vals = std::span<const U64>;
+
+/// What one op does to one element, written independently of the runtime.
+U64 serial_op(OpCode op, U64 cur, U64 v) {
+  switch (op) {
+    case OpCode::kAdd:
+      return cur + v;
+    case OpCode::kSub:
+      return cur - v;
+    case OpCode::kMul:
+      return cur * v;
+    case OpCode::kDiv:
+      return cur / v;
+    case OpCode::kRem:
+      return cur % v;
+    case OpCode::kAnd:
+      return cur & v;
+    case OpCode::kOr:
+      return cur | v;
+    case OpCode::kXor:
+      return cur ^ v;
+    case OpCode::kShl:
+      return cur << v;
+    case OpCode::kShr:
+      return cur >> v;
+    case OpCode::kStore:
+    case OpCode::kSwap:
+      return v;
+    default:
+      ADD_FAILURE() << "no serial reference";
+      return cur;
+  }
+}
+
+struct KernelCase {
+  const char* name;
+  OpCode op;
+  bool commutes;  ///< repeats of an index give one result in any order
+  Future<std::vector<U64>> (*shared)(AtomicArray<U64>&, Idxs, U64);
+  Future<std::vector<U64>> (*per_elem)(AtomicArray<U64>&, Idxs, Vals);
+  Future<std::vector<U64>> (*fetch_shared)(AtomicArray<U64>&, Idxs, U64);
+  Future<std::vector<U64>> (*fetch_per_elem)(AtomicArray<U64>&, Idxs, Vals);
+  void (*lazy_shared)(LazyChain<U64>&, Idxs, U64);  ///< null: no lazy form
+};
+
+#define KERNEL_CASE(NAME, CODE, COMMUTES, LAZY)                             \
+  KernelCase {                                                              \
+    #NAME, OpCode::CODE, COMMUTES,                                          \
+        [](AtomicArray<U64>& a, Idxs i, U64 v) {                            \
+          return a.batch_##NAME(i, v);                                      \
+        },                                                                  \
+        [](AtomicArray<U64>& a, Idxs i, Vals v) {                           \
+          return a.batch_##NAME(i, v);                                      \
+        },                                                                  \
+        [](AtomicArray<U64>& a, Idxs i, U64 v) {                            \
+          return a.batch_fetch_##NAME(i, v);                                \
+        },                                                                  \
+        [](AtomicArray<U64>& a, Idxs i, Vals v) {                           \
+          return a.batch_fetch_##NAME(i, v);                                \
+        },                                                                  \
+        LAZY                                                                \
+  }
+#define LAZY_FORM(NAME) \
+  [](LazyChain<U64>& c, Idxs i, U64 v) { c.NAME(i, v); }
+
+const KernelCase kKernelCases[] = {
+    KERNEL_CASE(add, kAdd, true, LAZY_FORM(add)),
+    KERNEL_CASE(sub, kSub, true, LAZY_FORM(sub)),
+    KERNEL_CASE(mul, kMul, true, LAZY_FORM(mul)),
+    KERNEL_CASE(div, kDiv, true, LAZY_FORM(div)),
+    KERNEL_CASE(rem, kRem, false, LAZY_FORM(rem)),
+    KERNEL_CASE(bit_and, kAnd, true, LAZY_FORM(bit_and)),
+    KERNEL_CASE(bit_or, kOr, true, LAZY_FORM(bit_or)),
+    KERNEL_CASE(bit_xor, kXor, true, LAZY_FORM(bit_xor)),
+    KERNEL_CASE(shl, kShl, true, LAZY_FORM(shl)),
+    KERNEL_CASE(shr, kShr, true, LAZY_FORM(shr)),
+    KERNEL_CASE(store, kStore, false, LAZY_FORM(store)),
+    KERNEL_CASE(swap, kSwap, false, nullptr),
+};
+
+#undef LAZY_FORM
+#undef KERNEL_CASE
+
+TEST(ArrayBatch, NativeKernelsMatchSerialReference) {
+  run_world(2, [](World& world) {
+    constexpr std::size_t kLen = 16;  // block: PE 0 owns 0..7, PE 1 8..15
+    auto arr = AtomicArray<U64>::create(world, kLen, Distribution::kBlock);
+    ASSERT_TRUE(arr.is_native());
+    if (world.my_pe() == 0) {
+      // Fetch forms and order-dependent ops use distinct indices; the
+      // non-fetch forms of the other ops repeat indices on both PEs.
+      // Operands are small and non-zero, so div/rem stay defined and three
+      // repeated shifts stay below 64.
+      const std::vector<global_index> distinct{13, 2, 9, 5, 0, 15, 7, 10};
+      const std::vector<global_index> repeated{3, 12, 3, 12, 8, 3, 1, 12};
+      const std::vector<U64> vals{3, 1, 2, 3, 2, 1, 3, 2};
+      const U64 shared = 2;
+      std::vector<U64> init(kLen);
+      for (std::size_t i = 0; i < kLen; ++i) init[i] = 0x9e3779b9u + 977 * i;
+
+      // mode: 0 no fetch, 1 pre-op fetch, 2 post-op fetch (lazy gather).
+      for (const KernelCase& k : kKernelCases) {
+        for (const bool per_elem : {false, true}) {
+          for (const int mode : {0, 1, 2}) {
+            if (mode == 2 && (per_elem || k.lazy_shared == nullptr)) continue;
+            SCOPED_TRACE(std::string(k.name) +
+                         (per_elem ? " per-element" : " shared") +
+                         " fetch mode " + std::to_string(mode));
+            const auto& idxs = mode == 0 && k.commutes ? repeated : distinct;
+            world.block_on(arr.put(0, init));
+            std::vector<U64> want = init;
+            std::vector<U64> want_fetch;
+            for (std::size_t j = 0; j < idxs.size(); ++j) {
+              U64& slot = want[idxs[j]];
+              const U64 next =
+                  serial_op(k.op, slot, per_elem ? vals[j] : shared);
+              want_fetch.push_back(mode == 2 ? next : slot);
+              slot = next;
+            }
+            std::vector<U64> got;
+            if (mode == 2) {
+              auto chain = arr.lazy();
+              k.lazy_shared(chain, idxs, shared);
+              got = world.block_on(chain.gather(idxs));
+            } else if (mode == 1) {
+              got = world.block_on(per_elem
+                                       ? k.fetch_per_elem(arr, idxs, vals)
+                                       : k.fetch_shared(arr, idxs, shared));
+            } else {
+              EXPECT_TRUE(world
+                              .block_on(per_elem ? k.per_elem(arr, idxs, vals)
+                                                 : k.shared(arr, idxs, shared))
+                              .empty());
+            }
+            if (mode != 0) {
+              EXPECT_EQ(got, want_fetch);
+            }
+            EXPECT_EQ(world.block_on(arr.get(0, kLen)), want);
+          }
+        }
+      }
+    }
+    world.barrier();
+  });
+}
+
 }  // namespace
