@@ -3,10 +3,8 @@
 // Sweeps the threshold and reports AM-path bandwidth at a mid-size message
 // plus live histogram rate, both in virtual time.
 //
-// The whole sweep runs inside ONE world: every PE retunes its live command
-// queues between points via World::set_agg_threshold (the same knob the
-// adaptive controller actuates), instead of paying a full world
-// start/teardown per threshold.
+// The threshold is fixed for a world's lifetime (DESIGN.md §14), so each
+// point runs in its own world; bring-up costs about 16 ms per world.
 #include <cstdio>
 
 #include "bale/histogram.hpp"
@@ -40,14 +38,12 @@ int main() {
   const std::size_t thresholds[] = {16 * 1024,  64 * 1024,  100 * 1024,
                                     256 * 1024, 512 * 1024, 1024 * 1024};
   std::vector<Point> points;
-  RuntimeConfig cfg;
-  run_world(
-      2,
-      [&](World& world) {
-        for (std::size_t threshold : thresholds) {
-          // Quiesced between points (barriers + wait_all below), so the
-          // retune never races staged records from the previous point.
-          world.set_agg_threshold(threshold);
+  for (std::size_t threshold : thresholds) {
+    RuntimeConfig cfg;
+    cfg.agg_threshold_bytes = threshold;
+    run_world(
+        2,
+        [&](World& world) {
           const std::size_t kSize = 4096, kN = 512;
           std::vector<std::uint8_t> payload(kSize, 1);
           world.barrier();
@@ -72,11 +68,11 @@ int main() {
                      static_cast<double>(r.elapsed_ns) * 1000.0});
           }
           world.barrier();
-        }
-      },
-      cfg, paper_perf_params(), PeMapping{1});
+        },
+        cfg, paper_perf_params(), PeMapping{1});
+  }
   std::printf("# Ablation D1: aggregation threshold sweep (virtual time, "
-              "one world, runtime retune)\n");
+              "one world per threshold)\n");
   std::printf("%12s %16s %16s\n", "threshold", "AM 4KB MB/s", "histo MUPS");
   for (const Point& pt : points) {
     std::printf("%12zu %16.1f %16.1f\n", pt.threshold, pt.mbs, pt.mups);

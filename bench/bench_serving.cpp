@@ -7,24 +7,31 @@
 // latency is measured from each request's *scheduled arrival* (so a server
 // that falls behind accrues queueing backlog in its tail, exactly like a
 // production load generator) and, separately, from its issue time (service
-// latency — bounded under overload when admission control paces issuance).
+// latency).
 //
-// Rows sweep LAMELLAR_ADAPT=off (at three static thresholds) against agg
-// and full so the adaptive controller's A/B is one committed artifact
-// (BENCH_pr10.json).  Runs in real time (virtual_time=false): the paper's
-// virtual-time model cannot express wall-clock arrival pacing.
+// Rows sweep three static aggregation thresholds (4K, 100K, 1M) per shape.
+// Runs in real time (virtual_time=false): the paper's virtual-time model
+// cannot express wall-clock arrival pacing.  Each PE's main thread sleeps
+// until its next arrival (clock_nanosleep, 1 us timer slack) instead of
+// spinning, so the PEs' workers, not the pacers, hold the cores; every JSON
+// row records the host's core count.
 //
 // Env knobs: LAMELLAR_SERVE_PES (default 4), LAMELLAR_SERVE_SECONDS
 // (offered-load duration per row, default 1.0), LAMELLAR_SERVE_SHAPES
 // (substring filter over shape names).
+#include <sys/prctl.h>
+#include <time.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -42,6 +49,17 @@ std::uint64_t real_ns() {
           .count());
 }
 
+// Sleeps until `deadline_ns` on CLOCK_MONOTONIC, the clock behind
+// std::chrono::steady_clock and so behind real_ns().
+void sleep_until_ns(std::uint64_t deadline_ns) {
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(deadline_ns / 1'000'000'000);
+  ts.tv_nsec = static_cast<long>(deadline_ns % 1'000'000'000);
+  while (clock_nanosleep(CLOCK_MONOTONIC, TIMER_ABSTIME, &ts, nullptr) ==
+         EINTR) {
+  }
+}
+
 constexpr std::size_t kMaxPes = 64;
 constexpr std::size_t kTableSlots = 1 << 14;  // per-PE shard slots
 
@@ -57,7 +75,6 @@ std::uint64_t g_completed[kMaxPes];
 std::uint64_t g_span_ns[kMaxPes];
 std::vector<std::uint64_t> g_arrival_lat[kMaxPes];
 std::vector<std::uint64_t> g_service_lat[kMaxPes];
-obs::MetricsSnapshot g_snap[kMaxPes];
 
 struct ServeAm {
   std::uint64_t slot = 0;
@@ -86,7 +103,6 @@ struct Shape {
 struct BenchConfig {
   const char* name;
   std::size_t agg_threshold;
-  AdaptMode adapt;
 };
 
 struct Row {
@@ -100,10 +116,6 @@ struct Row {
   // backlog included), service_* from issue time.
   double arrival_p50 = 0, arrival_p99 = 0, arrival_p999 = 0;
   double service_p50 = 0, service_p99 = 0, service_p999 = 0;
-  std::uint64_t ctl_adjustments = 0;
-  std::uint64_t backpressure_stalls = 0;
-  std::uint64_t flush_age = 0;
-  std::int64_t final_threshold = 0;
   bool verified = false;
 };
 
@@ -125,7 +137,6 @@ Row run_row(const char* shape, const char* config, const RuntimeConfig& cfg,
     g_sent_sum[pe] = g_completed[pe] = g_span_ns[pe] = 0;
     g_arrival_lat[pe].assign(n_per_pe, 0);
     g_service_lat[pe].assign(n_per_pe, 0);
-    g_snap[pe] = obs::MetricsSnapshot{};
   }
   Row row;
   row.shape = shape;
@@ -137,6 +148,7 @@ Row run_row(const char* shape, const char* config, const RuntimeConfig& cfg,
       npes,
       [&](World& world) {
         const pe_id me = world.my_pe();
+        ::prctl(PR_SET_TIMERSLACK, 1000UL);  // 1 us wake-up slack
         Shard shard;
         g_shards[me] = &shard;
         world.barrier();
@@ -153,14 +165,12 @@ Row run_row(const char* shape, const char* config, const RuntimeConfig& cfg,
         const std::uint64_t t0 = real_ns();
         double next_arrival = 0;  // ns offset from t0
         for (std::size_t i = 0; i < n_per_pe; ++i) {
-          // Pace to the schedule, helping the runtime while early.  When
-          // the system has fallen behind, next_arrival is already in the
-          // past and the request is issued immediately — the open-loop
-          // backlog then shows up in arrival latency.
-          while (static_cast<double>(real_ns() - t0) < next_arrival) {
-            world.pool().try_run_one();
-          }
+          // Pace to the schedule, asleep while early.  When the system
+          // has fallen behind, next_arrival is already in the past and the
+          // request is issued immediately — the open-loop backlog then
+          // shows up in arrival latency.
           const auto sched = static_cast<std::uint64_t>(next_arrival);
+          if (real_ns() - t0 < sched) sleep_until_ns(t0 + sched);
           const std::uint64_t val = 1 + rng.uniform(16);
           sent_sum += val;
           ServeAm am;
@@ -206,7 +216,6 @@ Row run_row(const char* shape, const char* config, const RuntimeConfig& cfg,
           row.verified =
               g_shard_total.load(std::memory_order_relaxed) == want;
         }
-        g_snap[me] = world.metrics_snapshot();
         world.barrier();
         g_shards[me] = nullptr;
       },
@@ -222,14 +231,6 @@ Row run_row(const char* shape, const char* config, const RuntimeConfig& cfg,
                        g_arrival_lat[pe].end());
     all_service.insert(all_service.end(), g_service_lat[pe].begin(),
                        g_service_lat[pe].end());
-    row.ctl_adjustments += g_snap[pe].counter("ctl.adjustments");
-    row.backpressure_stalls += g_snap[pe].counter("ctl.backpressure_stalls");
-    row.flush_age += g_snap[pe].counter("cmdq.flush_age");
-    for (const auto& [name, lv] : g_snap[pe].gauges) {
-      if (name == "ctl.threshold") {
-        row.final_threshold = std::max(row.final_threshold, lv.first);
-      }
-    }
   }
   row.completed = completed;
   row.achieved_rps = span_max == 0 ? 0
@@ -253,15 +254,10 @@ bool shape_selected(const char* name) {
 }
 
 void print_row(const Row& r) {
-  std::printf("%-8s %-12s %10.0f %10.0f %8zu %9.0f %9.0f %10.0f %9.0f %6zu "
-              "%8zu %9zu %10zu %s\n",
+  std::printf("%-8s %-12s %10.0f %10.0f %8zu %9.0f %9.0f %10.0f %9.0f %s\n",
               r.shape.c_str(), r.config.c_str(), r.offered_rps,
               r.achieved_rps, static_cast<std::size_t>(r.completed),
               r.arrival_p50, r.arrival_p99, r.arrival_p999, r.service_p99,
-              static_cast<std::size_t>(r.ctl_adjustments),
-              static_cast<std::size_t>(r.backpressure_stalls),
-              static_cast<std::size_t>(r.flush_age),
-              static_cast<std::size_t>(r.final_threshold),
               r.verified ? "yes" : "NO");
   std::fflush(stdout);
 }
@@ -269,20 +265,16 @@ void print_row(const Row& r) {
 void print_json(const Row& r, std::size_t npes) {
   std::printf(
       "{\"bench\":\"serving\",\"shape\":\"%s\",\"config\":\"%s\","
-      "\"pes\":%zu,\"offered_rps\":%.0f,\"achieved_rps\":%.0f,"
+      "\"pes\":%zu,\"cores\":%u,\"offered_rps\":%.0f,\"achieved_rps\":%.0f,"
       "\"requests\":%zu,\"completed\":%zu,"
       "\"arrival_us\":{\"p50\":%.1f,\"p99\":%.1f,\"p999\":%.1f},"
       "\"service_us\":{\"p50\":%.1f,\"p99\":%.1f,\"p999\":%.1f},"
-      "\"ctl_adjustments\":%zu,\"backpressure_stalls\":%zu,"
-      "\"flush_age\":%zu,\"final_threshold\":%zu,\"verified\":%s}\n",
-      r.shape.c_str(), r.config.c_str(), npes, r.offered_rps,
+      "\"verified\":%s}\n",
+      r.shape.c_str(), r.config.c_str(), npes,
+      std::thread::hardware_concurrency(), r.offered_rps,
       r.achieved_rps, static_cast<std::size_t>(r.requests),
       static_cast<std::size_t>(r.completed), r.arrival_p50, r.arrival_p99,
       r.arrival_p999, r.service_p50, r.service_p99, r.service_p999,
-      static_cast<std::size_t>(r.ctl_adjustments),
-      static_cast<std::size_t>(r.backpressure_stalls),
-      static_cast<std::size_t>(r.flush_age),
-      static_cast<std::size_t>(r.final_threshold),
       r.verified ? "true" : "false");
   std::fflush(stdout);
 }
@@ -303,7 +295,6 @@ int main() {
   // single machine's numbers.  The same absolute rates are then reused for
   // every config of a shape — a fair A/B.
   RuntimeConfig cal_cfg = base;
-  cal_cfg.adapt = AdaptMode::kOff;
   cal_cfg.agg_threshold_bytes = 100 * 1024;
   std::printf("# serving: calibrating capacity (%zu PEs)...\n", npes);
   Row cal = run_row("cal", "static-100k", cal_cfg, npes,
@@ -318,25 +309,20 @@ int main() {
       // Near saturation: workers rarely idle, so the idle-flush rescue
       // stops papering over oversized static buffers — the latency shape.
       {"busy", 0.90, 30'000.0, 48, 1.0},
-      // Low-rate trickle: age-triggered flushes carry the latency story.
+      // Low-rate trickle: idle flushes carry the latency story.
       {"trickle", 0.04, 2'000.0, 16, 1.0},
-      // 2x saturation: graceful-degradation row — bounded service p99 and
-      // no queue blowup under admission control.
+      // 2x saturation: the graceful-degradation row.
       {"burst2x", 2.0, 40'000.0, 48, 0.5},
   };
   const BenchConfig configs[] = {
-      {"static-4k", 4 * 1024, AdaptMode::kOff},
-      {"static-100k", 100 * 1024, AdaptMode::kOff},
-      {"static-1m", 1024 * 1024, AdaptMode::kOff},
-      {"adapt-agg", 100 * 1024, AdaptMode::kAgg},
-      {"adapt-full", 100 * 1024, AdaptMode::kFull},
+      {"static-4k", 4 * 1024},
+      {"static-100k", 100 * 1024},
+      {"static-1m", 1024 * 1024},
   };
 
-  std::printf("\n%-8s %-12s %10s %10s %8s %9s %9s %10s %9s %6s %8s %9s "
-              "%10s %s\n",
-              "shape", "config", "offered/s", "achieved/s", "done",
-              "arr_p50us", "arr_p99us", "arr_p999us", "svc_p99us", "adj",
-              "stalls", "flushage", "threshold", "ok");
+  std::printf("\n%-8s %-12s %10s %10s %8s %9s %9s %10s %9s %s\n", "shape",
+              "config", "offered/s", "achieved/s", "done", "arr_p50us",
+              "arr_p99us", "arr_p999us", "svc_p99us", "ok");
   std::vector<Row> rows;
   const bool json = base.metrics_mode == MetricsMode::kJson;
   for (const Shape& shape : shapes) {
@@ -346,7 +332,6 @@ int main() {
     for (const BenchConfig& bc : configs) {
       RuntimeConfig cfg = base;
       cfg.agg_threshold_bytes = bc.agg_threshold;
-      cfg.adapt = bc.adapt;
       Row row = run_row(shape.name, bc.name, cfg, npes, rate,
                         shape.pad_bytes, duration * shape.duration_scale);
       print_row(row);

@@ -21,12 +21,6 @@ namespace {
 // so a typo'd knob warns instead of silently reverting to the default.
 constexpr const char* kKnownEnvVars[] = {
     // Runtime knobs (RuntimeConfig::from_env).
-    "LAMELLAR_ADAPT",
-    "LAMELLAR_ADAPT_AGE_US",
-    "LAMELLAR_ADAPT_INTERVAL_US",
-    "LAMELLAR_ADAPT_MAX",
-    "LAMELLAR_ADAPT_MIN",
-    "LAMELLAR_ADMIT_WINDOW",
     "LAMELLAR_AGG_THRESHOLD",
     "LAMELLAR_BACKEND",
     "LAMELLAR_BATCH_OP_LIMIT",
@@ -139,14 +133,6 @@ BackendKind parse_backend_kind(const std::string& s) {
                               s);
 }
 
-AdaptMode parse_adapt_mode(const std::string& s) {
-  if (s == "off") return AdaptMode::kOff;
-  if (s == "agg") return AdaptMode::kAgg;
-  if (s == "full") return AdaptMode::kFull;
-  throw std::invalid_argument("LAMELLAR_ADAPT must be off|agg|full, got: " +
-                              s);
-}
-
 std::vector<std::string> unknown_lamellar_env_vars() {
   std::vector<std::string> unknown;
   if (environ == nullptr) return unknown;
@@ -204,14 +190,6 @@ RuntimeConfig RuntimeConfig::from_env() {
       env_u64("LAMELLAR_MP_BARRIER_TIMEOUT_MS", cfg.mp_barrier_timeout_ms);
   cfg.mp_wait_timeout_ms =
       env_u64("LAMELLAR_MP_TIMEOUT_MS", cfg.mp_wait_timeout_ms);
-  cfg.adapt = parse_adapt_mode(env_str("LAMELLAR_ADAPT", "off"));
-  cfg.adapt_min_bytes = env_size("LAMELLAR_ADAPT_MIN", cfg.adapt_min_bytes);
-  cfg.adapt_max_bytes = env_size("LAMELLAR_ADAPT_MAX", cfg.adapt_max_bytes);
-  cfg.adapt_interval_us =
-      env_u64("LAMELLAR_ADAPT_INTERVAL_US", cfg.adapt_interval_us);
-  cfg.adapt_age_budget_us =
-      env_u64("LAMELLAR_ADAPT_AGE_US", cfg.adapt_age_budget_us);
-  cfg.admit_window = env_u64("LAMELLAR_ADMIT_WINDOW", cfg.admit_window);
 
   // Typo detection: warn once per process about LAMELLAR_ vars nothing
   // reads, rather than silently falling back to defaults.

@@ -42,19 +42,6 @@ enum class BackendKind {
   kMmap,
 };
 
-/// Online adaptation level (env: LAMELLAR_ADAPT=off|agg|full; DESIGN.md
-/// §14).  kOff pins the aggregation knobs at their startup values.  kAgg
-/// runs the per-PE control loop: the flush threshold hill-climbs within
-/// [adapt_min_bytes, adapt_max_bytes] and lanes older than the age budget
-/// are partially flushed.  kFull additionally enables admission control — a
-/// bounded pending-AM window per PE where senders cooperatively run
-/// scheduler work instead of ballooning queues.
-enum class AdaptMode {
-  kOff,
-  kAgg,
-  kFull,
-};
-
 struct RuntimeConfig {
   /// Worker threads per PE (paper: best results with 4 threads per PE, one
   /// PE per NUMA node).  Default is small because tests run many PEs within
@@ -158,35 +145,6 @@ struct RuntimeConfig {
   /// (env: LAMELLAR_MP_TIMEOUT_MS; default 120000).
   std::uint64_t mp_wait_timeout_ms = 120'000;
 
-  /// Online adaptation level (env: LAMELLAR_ADAPT=off|agg|full; default
-  /// off).  See AdaptMode and DESIGN.md §14.
-  AdaptMode adapt = AdaptMode::kOff;
-
-  /// Lower bound for the adaptive flush threshold in bytes
-  /// (env: LAMELLAR_ADAPT_MIN; default 4K).
-  std::size_t adapt_min_bytes = 4 * 1024;
-
-  /// Upper bound for the adaptive flush threshold in bytes
-  /// (env: LAMELLAR_ADAPT_MAX; default 1M).
-  std::size_t adapt_max_bytes = std::size_t{1024} * 1024;
-
-  /// Controller tick interval in microseconds: how often the control loop
-  /// re-reads its sensors and may adjust the threshold
-  /// (env: LAMELLAR_ADAPT_INTERVAL_US; default 500).
-  std::uint64_t adapt_interval_us = 500;
-
-  /// Lane age budget in microseconds: staged records older than this are
-  /// flushed below threshold so trickle traffic does not wait for a full
-  /// buffer; also the latency set-point the threshold hill-climbs against
-  /// (env: LAMELLAR_ADAPT_AGE_US; default 2000).
-  std::uint64_t adapt_age_budget_us = 2'000;
-
-  /// Admission-control window: max pending (launched - completed) request
-  /// AMs per PE before senders cooperatively run scheduler work instead of
-  /// queueing more.  0 means auto: 8192 when adapt=full, disabled otherwise
-  /// (env: LAMELLAR_ADMIT_WINDOW).
-  std::uint64_t admit_window = 0;
-
   /// Load overrides from LAMELLAR_* environment variables.
   static RuntimeConfig from_env();
 };
@@ -198,7 +156,6 @@ std::string env_str(const char* name, const std::string& fallback);
 MetricsMode parse_metrics_mode(const std::string& s);
 RouteMode parse_route_mode(const std::string& s);
 BackendKind parse_backend_kind(const std::string& s);
-AdaptMode parse_adapt_mode(const std::string& s);
 
 /// Names of LAMELLAR_-prefixed variables present in the environment that no
 /// runtime, bench, or test knob recognises — typo detection for the table

@@ -10,15 +10,6 @@ namespace lamellar {
 namespace {
 thread_local World* tl_current_world = nullptr;
 thread_local pe_id tl_am_src = 0;
-// Set while a thread is inside admit()'s yield loop: sends issued by the
-// tasks it runs (nested AMs, replies, Darc control traffic) must not gate
-// again, or gate loops would nest without bound.
-thread_local bool tl_in_admit = false;
-
-struct AdmitScope {
-  AdmitScope() { tl_in_admit = true; }
-  ~AdmitScope() { tl_in_admit = false; }
-};
 }  // namespace
 
 World* current_world() { return tl_current_world; }
@@ -69,38 +60,7 @@ AmEngine::AmEngine(Lamellae& lamellae, ThreadPool& pool,
   sent_routed_ = &reg.counter("am.sent_routed");
   relayed_records_ = &reg.counter("am.relayed_records");
   relay_bytes_ = &reg.counter("am.relay_bytes");
-  backpressure_stalls_ = &reg.counter("ctl.backpressure_stalls");
   progress_fn_ = [this] { poll_inbox(); };
-  if (cfg.adapt != AdaptMode::kOff) {
-    ctl_ = std::make_unique<control::ControlLoop>(outgoing_, lamellae, cfg,
-                                                  progress_fn_);
-  }
-  // An explicit LAMELLAR_ADMIT_WINDOW enables admission in any mode; the
-  // auto default only arms it for adapt=full.
-  admit_window_ = cfg.admit_window != 0
-                      ? cfg.admit_window
-                      : (cfg.adapt == AdaptMode::kFull ? 8192 : 0);
-}
-
-void AmEngine::admit() {
-  if (admit_window_ == 0 || tl_in_admit) return;
-  if (outstanding() < admit_window_) return;
-  AdmitScope scope;
-  release_running_chunk();
-  backpressure_stalls_->inc();
-  // Progress argument (DESIGN.md §14): every iteration either executes a
-  // pool task (which can produce completions), polls the inbox (which
-  // delivers replies), or flushes our own staged requests (so the sends the
-  // window is waiting on actually depart).  Completions therefore keep
-  // flowing and outstanding() is strictly decreasing over the work the
-  // window covers — the loop cannot deadlock.
-  while (outstanding() >= admit_window_) {
-    if (!pool_.cooperative_yield()) {
-      // No runnable task; the yield already polled via the progress hook.
-      if (outgoing_.has_pending()) flush();
-    }
-    if (ctl_ != nullptr) ctl_->maybe_tick();
-  }
 }
 
 void AmEngine::charge_serialize(std::size_t bytes) {
@@ -345,7 +305,6 @@ void AmEngine::progress() {
     idle_flushes_->inc();
     flush();
   }
-  if (ctl_ != nullptr) ctl_->maybe_tick();
 }
 
 void AmEngine::flush() { outgoing_.flush_all(progress_fn_); }

@@ -31,7 +31,6 @@
 #include "core/am/am_registry.hpp"
 #include "core/am/completer_table.hpp"
 #include "core/am/wire.hpp"
-#include "core/control/controller.hpp"
 #include "core/scheduler/future.hpp"
 #include "core/scheduler/thread_pool.hpp"
 #include "fabric/topology.hpp"
@@ -146,7 +145,6 @@ class AmEngine {
   template <ActiveMessageType Am, typename Fn>
   void send_cb(pe_id dst, Am am, Fn on_result) {
     using R = am_return_t<Am>;
-    admit();
     launched_.fetch_add(1, std::memory_order_relaxed);
     if (dst == my_pe()) {
       // Local bypass: execute as a pool task without serialization.
@@ -297,12 +295,6 @@ class AmEngine {
   [[nodiscard]] const RuntimeConfig& config() const { return cfg_; }
   obs::TraceCollector* tracer() { return tracer_; }
 
-  /// The adaptive control loop, or null when LAMELLAR_ADAPT=off.
-  [[nodiscard]] control::ControlLoop* control_loop() { return ctl_.get(); }
-
-  /// Effective admission window (0 = admission disabled).
-  [[nodiscard]] std::uint64_t admit_window() const { return admit_window_; }
-
   /// Called by AmExecutor when a remotely launched AM finishes exec().
   void note_am_executed() { am_executed_->inc(); }
 
@@ -354,15 +346,6 @@ class AmEngine {
                             request_id rid, const T& value,
                             std::uint64_t trace_span = 0,
                             bool allow_relay = true) {
-    // Controller tick gate on the send path: under saturation the workers
-    // never go idle, so the idle-progress hook alone would starve the
-    // control loop.  Must run before any lane lock is taken (the tick's
-    // age flush acquires lane locks).  The gate itself is one relaxed
-    // fetch_add; mono_now is read one send in 512.
-    if (ctl_ != nullptr &&
-        (tick_gate_.fetch_add(1, std::memory_order_relaxed) & 511u) == 0) {
-      ctl_->maybe_tick();
-    }
     if (trace_span != 0) flags |= kTraced;
     const pe_id hop =
         (route_2hop_ && allow_relay) ? grid_.relay(my_pe(), dst) : dst;
@@ -504,20 +487,11 @@ class AmEngine {
   /// Write one kAckType record per origin for `chunk`'s collected acks.
   void write_acks(Chunk& chunk);
 
-  /// Blocking rule: a record that enters a helping wait (block_on,
-  /// wait_all, the admission gate) first writes its chunk's acks and
-  /// re-queues the chunk's records that have not started, so neither can
-  /// wait behind it.  No-op outside a chunk.
+  /// Blocking rule: a record that enters a helping wait (block_on or
+  /// wait_all) first writes its chunk's acks and re-queues the chunk's
+  /// records that have not started, so neither can wait behind it.  No-op
+  /// outside a chunk.
   static void release_running_chunk();
-
-  /// Admission control (DESIGN.md §14): when the pending-AM window
-  /// (launched - completed) is full, cooperatively run scheduler work,
-  /// drain the inbox, and flush our own staged requests until the window
-  /// reopens, instead of ballooning the queues.  No-op when the window is
-  /// disabled, and skipped (via a thread-local guard) for sends issued by
-  /// tasks that are already executing inside a gated sender's yield loop —
-  /// gating those would nest gate loops without bound.
-  void admit();
 
   /// Dispatch one non-forward record (reply completion or AM execution).
   /// `src` is the PE that *originated* the record — for 2-hop traffic this
@@ -540,12 +514,6 @@ class AmEngine {
   OutgoingQueues::ProgressFn progress_fn_;
   World* world_ = nullptr;
   obs::TraceCollector* tracer_ = nullptr;
-
-  // Adaptive control & backpressure (DESIGN.md §14).
-  std::unique_ptr<control::ControlLoop> ctl_;
-  std::uint64_t admit_window_ = 0;
-  std::atomic<std::uint64_t> tick_gate_{0};
-  obs::Counter* backpressure_stalls_;  // ctl.backpressure_stalls
 
   // AM-engine metrics ("am.*"), resolved once from the PE registry.
   obs::Counter* am_sent_remote_;

@@ -10,9 +10,11 @@
 // hazards exist even with aggregated, out-of-order message delivery.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/am/am_engine.hpp"
@@ -73,8 +75,14 @@ class OneSidedMemoryRegion {
  public:
   OneSidedMemoryRegion() = default;
 
-  /// One-sided allocation on the calling PE (no coordination).
+  /// One-sided allocation on the calling PE (no coordination).  Throws
+  /// BoundsError when `len` elements do not fit in a size_t of bytes.
   static OneSidedMemoryRegion create(World& world, std::size_t len) {
+    if (len > std::numeric_limits<std::size_t>::max() / sizeof(T)) {
+      throw BoundsError("OneSidedMemoryRegion::create: " +
+                        std::to_string(len) +
+                        " elements overflow the byte size");
+    }
     const std::size_t bytes = len * sizeof(T);
     const std::size_t offset = world.lamellae().alloc_onesided(
         bytes == 0 ? 1 : bytes, alignof(std::max_align_t));
@@ -170,11 +178,13 @@ class OneSidedMemoryRegion {
   }
 
  private:
+  /// Elements [index, index + n) must lie in the region; counted in
+  /// elements and without `index + n`, so no operand can wrap.
   void check(std::size_t index, std::size_t n) const {
     if (proxy_ == nullptr) throw Error("OneSidedMemoryRegion: empty handle");
-    if ((index + n) * sizeof(T) > proxy_->len_bytes) {
-      throw_bounds("OneSidedMemoryRegion access", index + n,
-                   proxy_->len_bytes / sizeof(T));
+    const std::size_t len = proxy_->len_bytes / sizeof(T);
+    if (n > len || index > len - n) {
+      throw_bounds("OneSidedMemoryRegion access", index, len);
     }
   }
 

@@ -10,7 +10,9 @@
 // can travel inside AMs and stay alive until every PE drops its reference.
 #pragma once
 
+#include <limits>
 #include <span>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/darc/darc.hpp"
@@ -73,9 +75,14 @@ class SharedMemoryRegion {
     return create_on(world, world.team(), len);
   }
 
-  /// Collective on `team` (member PEs only).
+  /// Collective on `team` (member PEs only).  Throws BoundsError when
+  /// `len` elements do not fit in a size_t of bytes.
   static SharedMemoryRegion create_on(World& world, const Team& team,
                                       std::size_t len) {
+    if (len > std::numeric_limits<std::size_t>::max() / sizeof(T)) {
+      throw BoundsError("SharedMemoryRegion::create: " + std::to_string(len) +
+                        " elements overflow the byte size");
+    }
     const std::size_t bytes = len * sizeof(T);
     const std::uint64_t key = team.next_object_id(world.my_pe());
     const std::size_t offset = world.lamellae().alloc_symmetric_group(
@@ -151,10 +158,12 @@ class SharedMemoryRegion {
   }
 
  private:
+  /// Elements [index, index + n) must lie in the region; counted in
+  /// elements and without `index + n`, so no operand can wrap.
   void check(std::size_t index, std::size_t n) const {
     if (!state_.valid()) throw Error("SharedMemoryRegion: empty handle");
-    if (index + n > state_->len) {
-      throw_bounds("SharedMemoryRegion access", index + n, state_->len);
+    if (n > state_->len || index > state_->len - n) {
+      throw_bounds("SharedMemoryRegion access", index, state_->len);
     }
   }
 

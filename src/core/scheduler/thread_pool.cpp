@@ -17,7 +17,6 @@ ThreadPool::ThreadPool(std::size_t num_workers, ProgressHook progress,
   tasks_executed_ = &reg.counter("sched.tasks_executed");
   tasks_stolen_ = &reg.counter("sched.tasks_stolen");
   steal_failures_ = &reg.counter("sched.steal_failures");
-  coop_yields_ = &reg.counter("sched.coop_yields");
   queue_depth_ = &reg.gauge("sched.queue_depth");
   tracer_ = obs.tracer;
   trace_clock_ = obs.clock;
@@ -137,15 +136,6 @@ bool ThreadPool::try_run_one() {
     return true;
   }
   if (progress_) progress_();
-  return false;
-}
-
-bool ThreadPool::cooperative_yield() {
-  coop_yields_->inc();
-  if (try_run_one()) return true;
-  // No runnable task and the progress hook has already polled: give the
-  // core away so the threads that hold our completions can run.
-  std::this_thread::yield();
   return false;
 }
 

@@ -75,12 +75,6 @@ class ThreadPool {
   /// true when a task ran.  Used by helping waits.
   bool try_run_one();
 
-  /// Backpressure yield (DESIGN.md §14): run one pending task if there is
-  /// one, else fall through to the progress hook and an OS yield so a gated
-  /// sender never spins the core dry.  Counted under sched.coop_yields.
-  /// Returns true when a task ran.
-  bool cooperative_yield();
-
   /// Number of tasks submitted but not yet finished executing.
   [[nodiscard]] std::size_t pending() const {
     return pending_.load(std::memory_order_acquire);
@@ -133,7 +127,6 @@ class ThreadPool {
   obs::Counter* tasks_executed_;
   obs::Counter* tasks_stolen_;
   obs::Counter* steal_failures_;
-  obs::Counter* coop_yields_;
   obs::Gauge* queue_depth_;
   obs::TraceCollector* tracer_;
   VirtualClock* trace_clock_;

@@ -122,10 +122,6 @@ World::World(WorldBackend& backend, std::unique_ptr<Lamellae> lamellae,
 
 const RuntimeConfig& World::config() const { return backend_.config(); }
 
-void World::set_agg_threshold(std::size_t bytes) {
-  engine_->outgoing().set_flush_threshold(bytes);
-}
-
 WorldGroup& World::group() {
   if (group_ == nullptr) {
     throw Error("World::group: no in-process WorldGroup under a "

@@ -182,14 +182,6 @@ class World {
   /// Virtual time on this PE's clock (ns).
   [[nodiscard]] sim_nanos time_ns() { return lamellae_->clock().now(); }
 
-  /// Runtime-adjust this PE's aggregation flush threshold (bytes).  Local
-  /// to the calling PE; records already staged depart at whichever value
-  /// their next commit observes.  Lets ablations sweep thresholds within
-  /// one world instead of restarting, and note the adaptive controller
-  /// retunes the same value — combining both in one run makes the sweep
-  /// fight the controller.
-  void set_agg_threshold(std::size_t bytes);
-
   // ---- observability ----
 
   /// This PE's metrics registry (live handles; register your own via

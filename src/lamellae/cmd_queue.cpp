@@ -18,7 +18,7 @@ OutgoingQueues::OutgoingQueues(Lamellae& lamellae, std::size_t flush_threshold,
                                obs::TraceCollector* tracer)
     : lamellae_(lamellae),
       tracer_(tracer),
-      threshold_(flush_threshold),
+      threshold_(std::max<std::size_t>(1, flush_threshold)),
       lanes_(lamellae.num_pes()),
       pool_(lamellae.buffer_pool(lamellae.my_pe())) {
   obs::MetricsRegistry& reg = lamellae.metrics();
@@ -27,7 +27,6 @@ OutgoingQueues::OutgoingQueues(Lamellae& lamellae, std::size_t flush_threshold,
       &reg.counter("cmdq.bytes_sent"),
       &reg.counter("cmdq.flush_threshold"),
       &reg.counter("cmdq.flush_explicit"),
-      &reg.counter("cmdq.flush_age"),
       &reg.counter("cmdq.bypass_large"),
       &reg.counter("cmdq.backpressure_stalls"),
       &reg.counter("cmdq.buffers_recycled"),
@@ -37,11 +36,6 @@ OutgoingQueues::OutgoingQueues(Lamellae& lamellae, std::size_t flush_threshold,
       &reg.gauge("cmdq.nonempty_lanes"),
       &reg.gauge("cmdq.live_lanes"),
   };
-}
-
-void OutgoingQueues::set_flush_threshold(std::size_t bytes) {
-  threshold_.store(std::max<std::size_t>(1, bytes),
-                   std::memory_order_relaxed);
 }
 
 OutgoingQueues::~OutgoingQueues() {
@@ -98,7 +92,7 @@ void OutgoingQueues::prime(Lane& lane) {
   if (lane.active.capacity() != 0) return;
   bool hit = false;
   lane.active = pool_.acquire(
-      std::min(kLaneInitialBytes, flush_threshold() + kRecordSlack), &hit);
+      std::min(kLaneInitialBytes, threshold_ + kRecordSlack), &hit);
   if (!hit) metrics_.buffers_allocated->inc();
   metrics_.live_lanes->add(1);
 }
@@ -142,7 +136,7 @@ void OutgoingQueues::commit_record(RecordWriter& w, const ProgressFn& progress) 
   Lane& lane = *w.lane_;
   const bool was_counted = w.start_ > 0;
   const std::size_t record_bytes = lane.active.size() - w.start_;
-  const std::size_t threshold = threshold_.load(std::memory_order_relaxed);
+  const std::size_t threshold = threshold_;
   w.committed_ = true;
   ByteBuffer to_send;
   std::vector<TracedRecord> traced;
@@ -192,33 +186,6 @@ void OutgoingQueues::flush(pe_id dst, const ProgressFn& progress) {
   metrics_.flush_explicit->inc();
   lamellae_.charge(lamellae_.params().agg_flush_overhead_ns);
   transmit(dst, std::move(to_send), progress);
-}
-
-void OutgoingQueues::flush_aged(sim_nanos now, sim_nanos max_age,
-                                const ProgressFn& progress) {
-  const std::size_t n = lanes_.size();
-  for (pe_id dst = 0; dst < n; ++dst) {
-    Lane* lp = lanes_[dst].load(std::memory_order_acquire);
-    if (lp == nullptr || !lp->occupied.load(std::memory_order_acquire)) {
-      continue;
-    }
-    Lane& lane = *lp;
-    ByteBuffer to_send;
-    std::vector<TracedRecord> traced;
-    {
-      std::lock_guard lock(lane.mu);
-      if (lane.active.empty()) continue;
-      if (now < lane.first_staged ||
-          now - lane.first_staged < max_age) {
-        continue;
-      }
-      to_send = extract_locked(lane, traced, now);
-    }
-    if (!traced.empty()) seal_traced(to_send, traced);
-    metrics_.flush_age->inc();
-    lamellae_.charge(lamellae_.params().agg_flush_overhead_ns);
-    transmit(dst, std::move(to_send), progress);
-  }
 }
 
 void OutgoingQueues::flush_all(const ProgressFn& progress) {

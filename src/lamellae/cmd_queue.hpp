@@ -63,8 +63,8 @@ class OutgoingQueues {
     /// moved out together with the buffer when it departs).
     std::vector<TracedRecord> traced;
     /// mono_now() stamp of the empty->nonempty transition, written under
-    /// `mu`: the age of the oldest staged record, read by flush_aged() and
-    /// recorded into cmdq.lane_age_ns at every buffer departure.
+    /// `mu`: the age of the oldest staged record, recorded into
+    /// cmdq.lane_age_ns at every buffer departure.
     sim_nanos first_staged = 0;
     /// Relaxed occupancy hint, written only under `mu`: lets flush_all skip
     /// provably-empty lanes without acquiring their locks (O(live) instead
@@ -124,13 +124,6 @@ class OutgoingQueues {
   /// created or are provably empty are skipped without taking their locks.
   void flush_all(const ProgressFn& progress);
 
-  /// Age-triggered partial flush (DESIGN.md §14): flush only lanes whose
-  /// oldest staged record is older than `max_age` at time `now` (both in
-  /// mono_now() nanoseconds), so trickle traffic does not wait for a full
-  /// threshold's worth of bytes.  Skips empty lanes without their locks,
-  /// like flush_all.  Counted under cmdq.flush_age.
-  void flush_aged(sim_nanos now, sim_nanos max_age, const ProgressFn& progress);
-
   /// Return a drained buffer for reuse to the pool of `owner`, the PE
   /// whose lane filled it (for an inbox payload, the message's source).
   void recycle(ByteBuffer buf, pe_id owner);
@@ -142,17 +135,6 @@ class OutgoingQueues {
   [[nodiscard]] bool has_pending() const {
     return nonempty_lanes_.load(std::memory_order_relaxed) != 0;
   }
-  [[nodiscard]] std::size_t flush_threshold() const {
-    return threshold_.load(std::memory_order_relaxed);
-  }
-
-  /// Runtime-adjust the aggregation flush threshold (adaptive controller,
-  /// World::set_agg_threshold).  Relaxed store: writers racing with a
-  /// commit_record see either the old or the new value, both of which are
-  /// valid flush points; already-staged lanes keep filling toward whichever
-  /// value their next commit observes.  Clamped to >= 1 so every nonempty
-  /// commit can still depart.
-  void set_flush_threshold(std::size_t bytes);
 
   [[nodiscard]] BufferPool& pool() { return pool_; }
 
@@ -166,7 +148,6 @@ class OutgoingQueues {
     obs::Counter* bytes_sent;
     obs::Counter* flush_threshold;
     obs::Counter* flush_explicit;
-    obs::Counter* flush_age;
     obs::Counter* bypass_large;
     obs::Counter* backpressure_stalls;
     obs::Counter* buffers_recycled;
@@ -204,9 +185,9 @@ class OutgoingQueues {
 
   Lamellae& lamellae_;
   obs::TraceCollector* tracer_;
-  /// Aggregation flush threshold in bytes.  Relaxed atomic so the adaptive
-  /// controller can retune it mid-run without a lock on the commit path.
-  std::atomic<std::size_t> threshold_;
+  /// Aggregation flush threshold in bytes, fixed at construction (DESIGN.md
+  /// §14) and at least 1, so every nonempty commit can depart.
+  const std::size_t threshold_;
   /// Lazily created lanes: a slot is null until the first record for that
   /// destination.  Readers load acquire; creation is serialized by
   /// lanes_mu_ and published with a release store.

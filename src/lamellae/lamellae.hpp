@@ -105,8 +105,8 @@ class Lamellae {
   virtual void barrier() = 0;
   virtual VirtualClock& clock() = 0;
 
-  /// Monotonic nanoseconds for age/deadline decisions (lane age stamps,
-  /// controller tick cadence).  Distinct from clock(): the virtual clock
+  /// Monotonic nanoseconds for lane age stamps (cmdq.lane_age_ns).
+  /// Distinct from clock(): the virtual clock
   /// only advances when perf-model charging is enabled, so backends where
   /// it would sit at zero (virtual time off, or the mmap backend's real
   /// processes) must report real steady-clock time instead.

@@ -439,18 +439,6 @@ void check_quiesced_invariants(World& world, std::size_t round,
   SOAK_CHECK(!eng.outgoing().has_pending(), "no staged bytes at quiesce",
              eng.outgoing().has_pending() ? 1 : 0, 0, me, round);
 
-  // Adaptive control (ISSUE 10): whatever walk the controller took this
-  // round, at quiescence the live threshold must sit inside its configured
-  // bounds — a violation means a retune raced past a clamp.
-  const RuntimeConfig& cfg = world.config();
-  if (cfg.adapt != AdaptMode::kOff) {
-    const std::size_t thr = eng.outgoing().flush_threshold();
-    SOAK_CHECK(thr >= cfg.adapt_min_bytes, "threshold >= adapt_min", thr,
-               cfg.adapt_min_bytes, me, round);
-    SOAK_CHECK(thr <= cfg.adapt_max_bytes, "threshold <= adapt_max", thr,
-               cfg.adapt_max_bytes, me, round);
-  }
-
   // Zero-copy budget: every serialized byte crossed exactly one copy.
   const std::uint64_t copied = world.metrics().counter("am.bytes_copied").get();
   const std::uint64_t serialized =
@@ -631,20 +619,6 @@ int main(int argc, char** argv) {
   // sanitizers alongside everything else; the span-conservation invariant
   // is checked at every quiesce point.
   cfg.trace_sample = 7;
-  // Adaptive control (ISSUE 10): LAMELLAR_ADAPT is the one env knob honored
-  // here, so the sanitizer jobs can soak the controller tick, age flush,
-  // and admission window (`LAMELLAR_ADAPT=full stress_soak ...`) without
-  // giving up the otherwise-fixed reproducible config.  Aggressive cadence:
-  // tick every 50 us of virtual time, 200 us age budget, a window small
-  // enough that the soak's AM bursts actually stall on it.
-  if (const char* a = std::getenv("LAMELLAR_ADAPT")) {
-    cfg.adapt = parse_adapt_mode(a);
-    if (cfg.adapt != AdaptMode::kOff) {
-      cfg.adapt_interval_us = 50;
-      cfg.adapt_age_budget_us = 200;
-    }
-    if (cfg.adapt == AdaptMode::kFull) cfg.admit_window = 64;
-  }
 
   g_tally = std::make_unique<std::atomic<std::uint64_t>[]>(opt.pes);
   run_world(opt.pes, [&](World& world) { soak_main(world, opt); }, cfg);

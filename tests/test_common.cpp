@@ -165,6 +165,27 @@ TEST(Config, Defaults) {
   EXPECT_EQ(cfg.batch_op_limit, 10'000u);           // paper experiments
 }
 
+TEST(Config, UnknownEnvVarsFlagged) {
+  ::setenv("LAMELLAR_DEFINITELY_NOT_A_KNOB", "1", 1);
+  ::setenv("LAMELLAR_AGG_THRESHOLD", "4K", 1);  // known: must not be flagged
+  // The adaptive controller's knob is gone (DESIGN.md §14); a run that
+  // still sets it gets the startup warning instead of silent defaults.
+  ::setenv("LAMELLAR_ADAPT", "agg", 1);
+  auto unknown = unknown_lamellar_env_vars();
+  bool saw_bogus = false;
+  bool saw_adapt = false;
+  for (const auto& name : unknown) {
+    EXPECT_NE(name, "LAMELLAR_AGG_THRESHOLD");
+    if (name == "LAMELLAR_DEFINITELY_NOT_A_KNOB") saw_bogus = true;
+    if (name == "LAMELLAR_ADAPT") saw_adapt = true;
+  }
+  EXPECT_TRUE(saw_bogus);
+  EXPECT_TRUE(saw_adapt);
+  ::unsetenv("LAMELLAR_DEFINITELY_NOT_A_KNOB");
+  ::unsetenv("LAMELLAR_AGG_THRESHOLD");
+  ::unsetenv("LAMELLAR_ADAPT");
+}
+
 TEST(UniqueFunction, MoveOnlyCapture) {
   auto p = std::make_unique<int>(41);
   UniqueFunction<int()> f([p = std::move(p)] { return *p + 1; });

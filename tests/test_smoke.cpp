@@ -1,7 +1,9 @@
 // End-to-end smoke tests: world bring-up, AMs, Darcs, memory regions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
 #include <numeric>
 
 #include "core/memregion/onesided_region.hpp"
@@ -188,6 +190,43 @@ TEST(Smoke, OneSidedRegionThroughAm) {
       for (auto v : region.unsafe_local_slice()) EXPECT_EQ(v, 7u);
     }
     world.barrier();
+  });
+}
+
+// Region bounds are counted in elements, so an index near 2^64 cannot wrap
+// `index + n` or `index * sizeof(T)` back into a neighbouring allocation,
+// and a length whose byte size overflows is refused at creation.
+TEST(MemRegion, BoundsDoNotWrap) {
+  run_world(1, [](World& world) {
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    auto a = SharedMemoryRegion<std::uint64_t>::create(world, 4);
+    auto b = SharedMemoryRegion<std::uint64_t>::create(world, 4);
+    auto o = OneSidedMemoryRegion<std::uint64_t>::create(world, 4);
+    std::ranges::fill(a.unsafe_local_slice(), 1);
+    std::ranges::fill(b.unsafe_local_slice(), 2);
+    std::ranges::fill(o.unsafe_local_slice(), 3);
+    const std::uint64_t vals[2] = {0xdead, 0xbeef};
+    std::uint64_t got[2] = {0, 0};
+
+    EXPECT_THROW(b.unsafe_put(0, kMax, vals), BoundsError);
+    EXPECT_THROW(b.unsafe_get(0, kMax, got), BoundsError);
+    EXPECT_THROW(o.unsafe_put(kMax, vals), BoundsError);
+    EXPECT_THROW(o.unsafe_get(kMax, got), BoundsError);
+    for (auto v : a.unsafe_local_slice()) EXPECT_EQ(v, 1u);
+    for (auto v : b.unsafe_local_slice()) EXPECT_EQ(v, 2u);
+    for (auto v : o.unsafe_local_slice()) EXPECT_EQ(v, 3u);
+
+    // The last in-bounds position still works.
+    b.unsafe_put(0, 2, vals);
+    EXPECT_EQ(b.unsafe_local_slice()[3], 0xbeefu);
+    o.unsafe_get(2, got);
+    EXPECT_EQ(got[1], 3u);
+
+    const std::size_t huge = (std::size_t{1} << 61) + 1;
+    EXPECT_THROW(SharedMemoryRegion<std::uint64_t>::create(world, huge),
+                 BoundsError);
+    EXPECT_THROW(OneSidedMemoryRegion<std::uint64_t>::create(world, huge),
+                 BoundsError);
   });
 }
 
