@@ -83,16 +83,19 @@ void AmEngine::dispatch_record(const AmEnvelope& env,
                                AmDispatchBatch& batch) {
   if (env.type == kAckType) {
     // One record completes many Unit requests; the ids are read one by one
-    // from the serialized std::vector<request_id> (wire.hpp).
+    // from the serialized std::vector<request_id> (wire.hpp).  Their
+    // latencies and count are published once, when `tally` ends.
     Deserializer de(payload);
     std::uint64_t n = 0;
     de.get(n);
     replies_received_->inc(n);
     Deserializer unit{std::span<const std::byte>{}};
+    AckTally tally(*this);
     for (std::uint64_t i = 0; i < n; ++i) {
       request_id rid = 0;
       de.get(rid);
       completers_.take(rid)(unit);
+      ++tally.completed;
     }
     return;
   }
@@ -120,6 +123,7 @@ void AmEngine::dispatch_record(const AmEnvelope& env,
     ArenaFrame frame;
     Deserializer de(payload);
     completer(de);
+    completed_.fetch_add(1, std::memory_order_release);
     return;
   }
   if (env.traced()) {
@@ -223,6 +227,29 @@ void AmEngine::dispatch_buffer(ByteBuffer buffer, pe_id src) {
 }
 
 thread_local AmEngine::Chunk* AmEngine::tl_chunk_ = nullptr;
+thread_local AmEngine::AckTally* AmEngine::tl_ack_tally_ = nullptr;
+
+AmEngine::AckTally::AckTally(AmEngine& e)
+    : engine(e), outer(std::exchange(tl_ack_tally_, this)) {}
+
+AmEngine::AckTally::~AckTally() {
+  tl_ack_tally_ = outer;
+  engine.reply_latency_ns_->merge(latency);
+  if (completed != 0) {
+    engine.completed_.fetch_add(completed, std::memory_order_release);
+  }
+}
+
+void AmEngine::note_reply_latency(sim_nanos sent_at) {
+  const sim_nanos now = lamellae_.clock().now();
+  const std::uint64_t latency = now >= sent_at ? now - sent_at : 0;
+  AckTally* tally = tl_ack_tally_;
+  if (tally != nullptr && &tally->engine == this) {
+    tally->latency.record(latency);
+  } else {
+    reply_latency_ns_->record(latency);
+  }
+}
 
 void AmEngine::spawn_chunks(std::vector<Task> records) {
   const std::size_t n = records.size();
@@ -261,9 +288,22 @@ void AmEngine::run_chunk(ChunkRecords records, std::size_t begin,
   write_acks(chunk);
 }
 
-bool AmEngine::queue_ack(pe_id origin, request_id rid) {
+AmEngine::Chunk* AmEngine::running_chunk() const {
   Chunk* chunk = tl_chunk_;
-  if (chunk == nullptr || chunk->engine != this) return false;
+  return chunk != nullptr && chunk->engine == this ? chunk : nullptr;
+}
+
+void AmEngine::note_am_executed() {
+  if (Chunk* chunk = running_chunk()) {
+    ++chunk->executed;
+  } else {
+    am_executed_->inc();
+  }
+}
+
+bool AmEngine::queue_ack(pe_id origin, request_id rid) {
+  Chunk* chunk = running_chunk();
+  if (chunk == nullptr) return false;
   // A chunk almost always owes one origin; relayed traffic brings a few.
   auto it = std::find_if(
       chunk->acks.rbegin(), chunk->acks.rend(),
@@ -276,7 +316,12 @@ bool AmEngine::queue_ack(pe_id origin, request_id rid) {
   return true;
 }
 
+void AmEngine::publish_executed(Chunk& chunk) {
+  if (chunk.executed != 0) am_executed_->inc(std::exchange(chunk.executed, 0));
+}
+
 void AmEngine::write_acks(Chunk& chunk) {
+  publish_executed(chunk);
   const std::vector<AckList> acks = std::exchange(chunk.acks, {});
   for (const AckList& a : acks) {
     replies_sent_->inc(a.ids.size());

@@ -138,10 +138,11 @@ class AmEngine {
   /// completed (possibly remotely).  `on_result` runs on a runtime thread.
   ///
   /// `launched_` is bumped relaxed: only its value matters.  `completed_`
-  /// is bumped with release after `on_result` has run, so a wait_all()
-  /// that reads outstanding() == 0 (acquire) sees every callback's writes:
-  /// callbacks may write results straight into caller memory with no
-  /// future to publish them.
+  /// is bumped with release after `on_result` has run, once per reply or
+  /// ack record (dispatch_record), so a wait_all() that reads
+  /// outstanding() == 0 (acquire) sees every callback's writes: callbacks
+  /// may write results straight into caller memory with no future to
+  /// publish them.
   template <ActiveMessageType Am, typename Fn>
   void send_cb(pe_id dst, Am am, Fn on_result) {
     using R = am_return_t<Am>;
@@ -190,12 +191,10 @@ class AmEngine {
     }
     const request_id rid = completers_.insert(
         [this, sent_at, cb = std::move(on_result)](Deserializer& de) mutable {
-          const sim_nanos now = lamellae_.clock().now();
-          reply_latency_ns_->record(now >= sent_at ? now - sent_at : 0);
+          note_reply_latency(sent_at);
           R r{};
           de.get(r);
           cb(std::move(r));
-          completed_.fetch_add(1, std::memory_order_release);
         });
     write_record_inplace(dst, AmTypeId<Am>::id, kWantsReply, rid, am, span,
                          /*allow_relay=*/!InlineAm<Am>);
@@ -245,6 +244,9 @@ class AmEngine {
     if constexpr (std::is_same_v<R, Unit>) {
       if (trace_span == 0 && queue_ack(dst, rid)) return;
     }
+    // This reply leaves before the chunk ends, and the origin may count the
+    // AM complete as soon as it lands: publish the chunk's count first.
+    if (Chunk* chunk = running_chunk()) publish_executed(*chunk);
     send_reply(dst, rid, value, trace_span);
   }
 
@@ -295,8 +297,14 @@ class AmEngine {
   [[nodiscard]] const RuntimeConfig& config() const { return cfg_; }
   obs::TraceCollector* tracer() { return tracer_; }
 
-  /// Called by AmExecutor when a remotely launched AM finishes exec().
-  void note_am_executed() { am_executed_->inc(); }
+  /// Called by AmExecutor when a deferred record finishes exec().  Its
+  /// chunk counts it and adds the count to am.executed before any reply of
+  /// the chunk leaves: with the chunk's acks (write_acks), or ahead of a
+  /// reply that leaves at once (reply).
+  void note_am_executed();
+
+  /// Called by AmExecutor when an inline record finishes exec().
+  void note_inline_executed() { am_executed_->inc(); }
 
   /// Called by AmExecutor around exec() of a trace-sampled AM: records the
   /// exec-stage latency histogram and emits the exec slice + flow step.
@@ -460,15 +468,38 @@ class AmEngine {
   };
 
   /// A chunk being executed by this thread: records [next, end) are still
-  /// to run, in wire order, and `acks` holds the Unit replies of the ones
-  /// that finished.
+  /// to run, in wire order, `acks` holds the Unit replies of the ones that
+  /// finished, and `executed` counts the finished ones not yet added to
+  /// am.executed.
   struct Chunk {
     AmEngine* engine = nullptr;
     ChunkRecords records;
     std::size_t next = 0;
     std::size_t end = 0;
     std::vector<AckList> acks;
+    std::uint64_t executed = 0;
   };
+
+  /// Reply accounting of the kAckType record this thread is completing.
+  /// Its completers record their latencies here (note_reply_latency), and
+  /// the destructor merges them into am.reply_latency_ns and adds
+  /// `completed` to completed_ with release, once, after every callback
+  /// that ran: also when one throws.
+  struct AckTally {
+    explicit AckTally(AmEngine& e);
+    ~AckTally();
+    AckTally(const AckTally&) = delete;
+    AckTally& operator=(const AckTally&) = delete;
+
+    AmEngine& engine;
+    AckTally* outer;
+    obs::HistogramTally latency;
+    std::uint64_t completed = 0;
+  };
+
+  /// Record one completion's reply latency: into the ack record being
+  /// completed on this thread, else straight into am.reply_latency_ns.
+  void note_reply_latency(sim_nanos sent_at);
 
   void charge_serialize(std::size_t bytes);
   void dispatch_buffer(ByteBuffer buffer, pe_id src);
@@ -480,11 +511,21 @@ class AmEngine {
   Task chunk_task(ChunkRecords records, std::size_t begin, std::size_t end);
   void run_chunk(ChunkRecords records, std::size_t begin, std::size_t end);
 
+  /// The chunk of this engine that this thread runs, or null.  Defined
+  /// out of line, like every other read of the thread-locals: GCC 12's
+  /// UBSan reported a null-pointer load for a read inlined into another
+  /// translation unit.
+  [[nodiscard]] Chunk* running_chunk() const;
+
   /// Append `rid` to the running chunk's ack list for `origin`; false when
   /// this thread runs no chunk of this engine.
   bool queue_ack(pe_id origin, request_id rid);
 
-  /// Write one kAckType record per origin for `chunk`'s collected acks.
+  /// Add `chunk`'s executed count to am.executed.
+  void publish_executed(Chunk& chunk);
+
+  /// Publish `chunk`'s executed count, then write one kAckType record per
+  /// origin for its collected acks.
   void write_acks(Chunk& chunk);
 
   /// Blocking rule: a record that enters a helping wait (block_on or
@@ -556,6 +597,7 @@ class AmEngine {
   alignas(kCacheLine) std::atomic<std::uint64_t> completed_{0};
 
   static thread_local Chunk* tl_chunk_;
+  static thread_local AckTally* tl_ack_tally_;
 };
 
 /// Type-erased execution shim instantiated per AM type by the registration
@@ -584,12 +626,12 @@ struct AmExecutor {
     if constexpr (InlineAm<Am>) {
       ScopedWorld scope(engine.world());
       AmContext ctx(*engine.world(), src);
-      const sim_nanos t0 = engine.lamellae().clock().now();
+      const sim_nanos t0 = span != 0 ? engine.lamellae().clock().now() : 0;
       auto result = AmEngine::invoke_exec<Am>(am, ctx);
       if (span != 0) {
         engine.note_traced_exec(span, t0, engine.lamellae().clock().now());
       }
-      engine.note_am_executed();
+      engine.note_inline_executed();
       if ((flags & kWantsReply) != 0) {
         engine.send_reply(src, rid, result, span, /*allow_relay=*/false);
       }
@@ -603,7 +645,7 @@ struct AmExecutor {
         ScopedWorld scope(engine.world());
         AmContext ctx(*engine.world(), src);
         ArenaFrame frame;
-        const sim_nanos t0 = engine.lamellae().clock().now();
+        const sim_nanos t0 = span != 0 ? engine.lamellae().clock().now() : 0;
         auto result = AmEngine::invoke_exec<Am>(am, ctx);
         if (span != 0) {
           engine.note_traced_exec(span, t0, engine.lamellae().clock().now());
@@ -617,7 +659,7 @@ struct AmExecutor {
                                 span]() mutable {
         ScopedWorld scope(engine.world());
         AmContext ctx(*engine.world(), src);
-        const sim_nanos t0 = engine.lamellae().clock().now();
+        const sim_nanos t0 = span != 0 ? engine.lamellae().clock().now() : 0;
         auto result = AmEngine::invoke_exec<Am>(am, ctx);
         if (span != 0) {
           engine.note_traced_exec(span, t0, engine.lamellae().clock().now());

@@ -101,8 +101,11 @@ class ShmemFabric {
   obs::MetricsRegistry& metrics(pe_id pe) { return registries_[pe]; }
 
   /// Charge local host-side work to a PE clock (used by higher layers).
+  /// Wall-clock runs charge nothing: the clock and
+  /// fabric.vtime_charged_ns stay at zero.
   void charge(pe_id pe, double ns) {
-    if (virtual_time_) clocks_[pe].advance(ns);
+    if (!virtual_time_) return;
+    clocks_[pe].advance(ns);
     fab_metrics_[pe].vtime_charged_ns->inc(static_cast<std::uint64_t>(ns));
   }
 

@@ -31,6 +31,7 @@ OutgoingQueues::OutgoingQueues(Lamellae& lamellae, std::size_t flush_threshold,
       &reg.counter("cmdq.backpressure_stalls"),
       &reg.counter("cmdq.buffers_recycled"),
       &reg.counter("cmdq.buffers_allocated"),
+      &reg.counter("cmdq.buffers_dropped"),
       &reg.histogram("am.stage_inject_flush_ns"),
       &reg.histogram("cmdq.lane_age_ns"),
       &reg.gauge("cmdq.nonempty_lanes"),
@@ -207,6 +208,8 @@ void OutgoingQueues::recycle(ByteBuffer buf, pe_id owner) {
   if (buf.capacity() == 0) return;
   if (lamellae_.buffer_pool(owner).release(std::move(buf))) {
     metrics_.buffers_recycled->inc();
+  } else {
+    metrics_.buffers_dropped->inc();
   }
 }
 

@@ -125,7 +125,9 @@ class OutgoingQueues {
   void flush_all(const ProgressFn& progress);
 
   /// Return a drained buffer for reuse to the pool of `owner`, the PE
-  /// whose lane filled it (for an inbox payload, the message's source).
+  /// whose lane filled it (for an inbox payload, the message's source).  A
+  /// buffer that the full pool refuses is freed and counted in
+  /// cmdq.buffers_dropped on this PE.
   void recycle(ByteBuffer buf, pe_id owner);
   /// Return a buffer this PE's own lanes filled to its pool.
   void recycle(ByteBuffer buf) { recycle(std::move(buf), lamellae_.my_pe()); }
@@ -152,6 +154,7 @@ class OutgoingQueues {
     obs::Counter* backpressure_stalls;
     obs::Counter* buffers_recycled;
     obs::Counter* buffers_allocated;
+    obs::Counter* buffers_dropped;       // recycles a full pool refused
     obs::Histogram* stage_inject_flush;  // am.stage_inject_flush_ns
     obs::Histogram* lane_age;            // cmdq.lane_age_ns
     obs::Gauge* nonempty_lanes;          // cmdq.nonempty_lanes

@@ -277,7 +277,6 @@ MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
   msgs_polled_ = &registry_.counter("fab.msgs_polled");
   bytes_sent_ = &registry_.counter("fab.bytes_sent");
   barriers_ = &registry_.counter("fab.barriers");
-  vtime_charged_ns_ = &registry_.counter("fab.vtime_charged_ns");
   backpressure_waits_ = &registry_.counter("mp.backpressure_waits");
   ring_wakes_ = &registry_.counter("mp.ring_wakes");
   barrier_futex_waits_ = &registry_.counter("mp.barrier_futex_waits");
@@ -599,12 +598,6 @@ void MmapLamellae::barrier() {
                                (stragglers.empty() ? "?" : stragglers));
     }
   }
-}
-
-void MmapLamellae::charge(double ns) {
-  // Real processes run on real time; virtual-time simulation stays with the
-  // in-process backends.  Keep the accounting counter so bench lines merge.
-  if (ns > 0) vtime_charged_ns_->inc(static_cast<std::uint64_t>(ns));
 }
 
 }  // namespace lamellar

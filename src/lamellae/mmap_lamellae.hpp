@@ -197,7 +197,8 @@ class MmapLamellae final : public Lamellae {
   [[nodiscard]] sim_nanos mono_now() const override { return real_now_ns(); }
   obs::MetricsRegistry& metrics() override { return registry_; }
   [[nodiscard]] const PerfParams& params() const override { return params_; }
-  void charge(double ns) override;
+  /// Real processes run on real time: there is no modeled time to charge.
+  void charge(double) override {}
   [[nodiscard]] bool remote_to(pe_id) const override { return false; }
   [[nodiscard]] std::size_t pes_per_node() const override { return num_pes_; }
 
@@ -265,8 +266,8 @@ class MmapLamellae final : public Lamellae {
   mutable std::mutex poll_mu_;
   pe_id poll_cursor_ = 0;
 
-  // Resolved metric handles (fab.* names shared with ShmemFabric so bench
-  // lines merge across backends; mp.* for backend-specific events).
+  // Resolved metric handles (fab.* for the transport, mp.* for
+  // backend-specific events).
   obs::Counter* puts_;
   obs::Counter* gets_;
   obs::Counter* atomics_;
@@ -276,7 +277,6 @@ class MmapLamellae final : public Lamellae {
   obs::Counter* msgs_polled_;
   obs::Counter* bytes_sent_;
   obs::Counter* barriers_;
-  obs::Counter* vtime_charged_ns_;
   obs::Counter* backpressure_waits_;
   obs::Counter* ring_wakes_;
   obs::Counter* barrier_futex_waits_;

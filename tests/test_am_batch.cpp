@@ -173,6 +173,7 @@ TEST(AmBatch, AcksBeforeBlockingRecordReachOrigin) {
   g_fillers.store(0);
   bool acked = false;
   bool finished = false;
+  std::vector<obs::MetricsSnapshot> snaps(2);
   run_world(
       2,
       [&](World& w) {
@@ -197,11 +198,26 @@ TEST(AmBatch, AcksBeforeBlockingRecordReachOrigin) {
           w.wait_all();
         }
         w.barrier();
+        w.finalize();
+        snaps[w.my_pe()] = w.metrics_snapshot();
       },
       batch_cfg(1));
   EXPECT_TRUE(acked) << "the ack of FillerAm{0} waited for its chunk to end";
   EXPECT_TRUE(finished);
   EXPECT_EQ(g_fillers.load(), 7u);
+  // The chunk published its counts part-way, at the release, and again at
+  // its end; at quiescence no count may be short.
+  std::uint64_t sent = 0;
+  std::uint64_t executed = 0;
+  for (const auto& s : snaps) {
+    sent += s.counter("am.sent_remote") + s.counter("am.sent_local");
+    executed += s.counter("am.executed");
+    const auto* h = s.histogram("am.reply_latency_ns");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count, s.counter("am.replies_received"));
+  }
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(executed, sent);
 }
 
 TEST(AmBatch, ChunksRunInParallel) {

@@ -10,6 +10,7 @@
 #include "lamellae/cmd_queue.hpp"
 #include "lamellae/heap.hpp"
 #include "lamellae/shmem_lamellae.hpp"
+#include "lamellar.hpp"
 
 namespace {
 
@@ -275,6 +276,59 @@ TEST(CmdQueue, FlushSendsResiduals) {
   EXPECT_FALSE(out.has_pending());
   EXPECT_EQ(l0->metrics().counter("cmdq.buffers_sent").get(), 1u);
   EXPECT_EQ(l0->metrics().counter("cmdq.flush_explicit").get(), 1u);
+}
+
+}  // namespace
+
+namespace {
+
+struct EchoAm {
+  std::uint64_t x = 0;
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar(x);
+  }
+  std::uint64_t exec(AmContext&) { return x; }
+};
+
+}  // namespace
+
+LAMELLAR_REGISTER_AM(EchoAm);
+
+namespace {
+
+TEST(Fabric, WallClockWorldChargesNothing) {
+  // The same AM round trips charge the modeled clock in a virtual-time
+  // world and nothing at all in a wall-clock one.
+  for (const bool virtual_time : {false, true}) {
+    SCOPED_TRACE(virtual_time ? "virtual time" : "wall clock");
+    std::vector<std::uint64_t> charged(2, 0);
+    std::vector<sim_nanos> clock(2, 0);
+    run_world(
+        2,
+        [&](World& w) {
+          const pe_id other = 1 - w.my_pe();
+          for (std::uint64_t i = 0; i < 500; ++i) {
+            (void)w.exec_am_pe(other, EchoAm{i});
+          }
+          w.wait_all();
+          w.barrier();
+          charged[w.my_pe()] =
+              w.metrics_snapshot().counter("fabric.vtime_charged_ns");
+          clock[w.my_pe()] = w.lamellae().clock().now();
+        },
+        RuntimeConfig{}, paper_perf_params(), PeMapping{}, virtual_time);
+    for (pe_id pe = 0; pe < 2; ++pe) {
+      SCOPED_TRACE(pe);
+      if (virtual_time) {
+        EXPECT_GT(charged[pe], 0u);
+        EXPECT_GT(clock[pe], 0u);
+      } else {
+        EXPECT_EQ(charged[pe], 0u);
+        EXPECT_EQ(clock[pe], 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -127,6 +127,44 @@ TEST(ObsMetrics, HistogramBucketsAndStats) {
   EXPECT_GE(hs->quantile_bound(0.99), 63u);  // p99 of 0..99 is in [64,128)
 }
 
+TEST(ObsMetrics, TallyMergeEqualsRecordingEachSample) {
+  // Concurrent merges of per-thread tallies end in the same histogram as
+  // recording every sample directly, the top-bucket clamp included.
+  obs::MetricsRegistry reg;
+  obs::Histogram& direct = reg.histogram("test.direct");
+  obs::Histogram& merged = reg.histogram("test.merged");
+  constexpr int kThreads = 4;
+  std::vector<std::thread> ts;
+  for (int t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      for (int round = 0; round < 100; ++round) {
+        obs::HistogramTally tally;
+        for (std::uint64_t i = 0; i < 300; ++i) {
+          const std::uint64_t v =
+              i == 0 ? ~0ULL : (i * 2654435761ULL * (t + 1)) >> (i % 64);
+          direct.record(v);
+          tally.record(v);
+        }
+        merged.merge(tally);
+      }
+      merged.merge(obs::HistogramTally{});  // an empty tally changes nothing
+    });
+  }
+  for (auto& t : ts) t.join();
+
+  const auto snap = reg.snapshot();
+  const auto* d = snap.histogram("test.direct");
+  const auto* m = snap.histogram("test.merged");
+  ASSERT_NE(d, nullptr);
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->count, kThreads * 100u * 300u);
+  EXPECT_EQ(m->count, d->count);
+  EXPECT_EQ(m->sum, d->sum);
+  EXPECT_EQ(m->max, ~0ULL);
+  EXPECT_EQ(m->max, d->max);
+  EXPECT_EQ(m->buckets, d->buckets);
+}
+
 TEST(ObsMetrics, DisabledRegistryHasZeroEntries) {
   obs::MetricsRegistry reg(false);
   EXPECT_FALSE(reg.enabled());
