@@ -18,7 +18,6 @@
 #include "core/array/batch.hpp"
 #include "core/scheduler/deque.hpp"
 #include "lamellae/heap.hpp"
-#include "obs/metrics.hpp"
 
 namespace {
 
@@ -161,48 +160,6 @@ void BM_CompleterSenderTaker(benchmark::State& state) {
   if (state.thread_index() == 0) state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CompleterSenderTaker)->Threads(2)->UseRealTime();
-
-// Reply accounting: two threads complete requests into one latency
-// histogram and one completed counter, as a PE's main thread and its worker
-// do.  An iteration completes 256 requests.  With `per` = 1 both take an
-// update per completion; with `per` = 256 the thread tallies on its stack
-// and merges once, as for an ack record of 256 ids.  Latencies are drawn
-// below `max_ns`; 0 is a wall-clock run, where every sample reads 0.
-struct ReplyAccounting {
-  obs::Histogram latency;
-  alignas(kCacheLine) std::atomic<std::uint64_t> completed{0};
-};
-ReplyAccounting g_reply_accounting;
-
-void BM_ReplyAccounting(benchmark::State& state) {
-  constexpr std::size_t kIds = 256;
-  const bool per_completion = state.range(0) == 1;
-  const auto max_ns = static_cast<std::uint64_t>(state.range(1));
-  Xoshiro256 rng(static_cast<std::uint64_t>(state.thread_index()) + 1);
-  std::vector<std::uint64_t> latencies(kIds);
-  for (auto& v : latencies) v = max_ns == 0 ? 0 : rng.uniform(max_ns);
-  ReplyAccounting& acc = g_reply_accounting;
-  for (auto _ : state) {
-    if (per_completion) {
-      for (const std::uint64_t v : latencies) {
-        acc.latency.record(v);
-        acc.completed.fetch_add(1, std::memory_order_release);
-      }
-    } else {
-      obs::HistogramTally tally;
-      for (const std::uint64_t v : latencies) tally.record(v);
-      acc.latency.merge(tally);
-      acc.completed.fetch_add(kIds, std::memory_order_release);
-    }
-  }
-  benchmark::DoNotOptimize(acc.completed.load(std::memory_order_relaxed));
-  state.SetItemsProcessed(state.iterations() * kIds);
-}
-BENCHMARK(BM_ReplyAccounting)
-    ->ArgNames({"per", "max_ns"})
-    ->ArgsProduct({{1, 256}, {0, 1 << 20}})
-    ->Threads(2)
-    ->UseRealTime();
 
 // ---- array element ops: one case per layer, plus the hardware floor ----
 //

@@ -42,7 +42,6 @@ constexpr const char* kKnownEnvVars[] = {
     "LAMELLAR_TRACE_FILE",
     "LAMELLAR_TRACE_PER_PE",
     "LAMELLAR_TRACE_SAMPLE",
-    "LAMELLAR_VIRTUAL_TIME",
     // Bench / example / test parameters.
     "LAMELLAR_FIG2_FULL",
     "LAMELLAR_FIG3_UPDATES",
@@ -166,8 +165,6 @@ RuntimeConfig RuntimeConfig::from_env() {
   cfg.onesided_heap_bytes =
       env_size("LAMELLAR_ONESIDED_HEAP", cfg.onesided_heap_bytes);
   cfg.seed = env_u64("LAMELLAR_SEED", cfg.seed);
-  cfg.enable_virtual_time =
-      env_u64("LAMELLAR_VIRTUAL_TIME", cfg.enable_virtual_time ? 1 : 0) != 0;
   cfg.metrics_mode = parse_metrics_mode(env_str("LAMELLAR_METRICS", "quiet"));
   cfg.trace_file = env_str("LAMELLAR_TRACE_FILE", cfg.trace_file);
   cfg.trace_ring_capacity =

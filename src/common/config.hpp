@@ -65,9 +65,6 @@ struct RuntimeConfig {
   /// Seed for all deterministic randomness.
   std::uint64_t seed = 42;
 
-  /// Whether fabric operations charge virtual time to per-PE clocks.
-  bool enable_virtual_time = true;
-
   /// Metrics collection/reporting mode (env: LAMELLAR_METRICS=
   /// off|quiet|summary|json; default quiet — collect, print nothing).
   MetricsMode metrics_mode = MetricsMode::kQuiet;

@@ -83,19 +83,27 @@ void AmEngine::dispatch_record(const AmEnvelope& env,
                                AmDispatchBatch& batch) {
   if (env.type == kAckType) {
     // One record completes many Unit requests; the ids are read one by one
-    // from the serialized std::vector<request_id> (wire.hpp).  Their
-    // latencies and count are published once, when `tally` ends.
+    // from the serialized std::vector<request_id> (wire.hpp).  An ack
+    // carries no sampled request, so no completer reads the clock.  The
+    // completions are published once, after every callback that ran: also
+    // when one throws.
+    struct Publish {
+      std::atomic<std::uint64_t>& completed;
+      std::uint64_t n = 0;
+      ~Publish() {
+        if (n != 0) completed.fetch_add(n, std::memory_order_release);
+      }
+    } done{completed_};
     Deserializer de(payload);
     std::uint64_t n = 0;
     de.get(n);
     replies_received_->inc(n);
     Deserializer unit{std::span<const std::byte>{}};
-    AckTally tally(*this);
     for (std::uint64_t i = 0; i < n; ++i) {
       request_id rid = 0;
       de.get(rid);
       completers_.take(rid)(unit);
-      ++tally.completed;
+      ++done.n;
     }
     return;
   }
@@ -105,7 +113,7 @@ void AmEngine::dispatch_record(const AmEnvelope& env,
       // The reply's wire ts is the executing PE's reply-inject time; the
       // difference to our arrival clock is the reply->complete stage.
       // Clamped at zero: per-PE virtual clocks are not globally ordered.
-      const sim_nanos now = lamellae_.clock().now();
+      const sim_nanos now = lamellae_.now();
       const auto sent = static_cast<sim_nanos>(env.trace_ts);
       const sim_nanos dur = now >= sent ? now - sent : 0;
       stage_reply_complete_ns_->record(static_cast<std::uint64_t>(dur));
@@ -132,7 +140,7 @@ void AmEngine::dispatch_record(const AmEnvelope& env,
     // stage (clamped: per-PE virtual clocks are not globally ordered).
     // For 2-hop traffic the stage spans origin flush -> final arrival,
     // including relay residency — the true end-to-end flight.
-    const sim_nanos now = lamellae_.clock().now();
+    const sim_nanos now = lamellae_.now();
     const auto flushed = static_cast<sim_nanos>(env.trace_ts);
     const sim_nanos dur = now >= flushed ? now - flushed : 0;
     stage_flight_ns_->record(static_cast<std::uint64_t>(dur));
@@ -194,8 +202,8 @@ void AmEngine::handle_forward(std::span<const std::byte> payload,
 void AmEngine::dispatch_buffer(ByteBuffer buffer, pe_id src) {
   ScopedWorld scope(world_);
   ScopedAmSrc src_scope(src);
-  obs::TraceSpan span(tracer_, "dispatch_buffer", "am", my_pe(),
-                      lamellae_.clock().now());
+  const bool tracing = tracer_ != nullptr && tracer_->enabled();
+  const sim_nanos start = tracing ? lamellae_.now() : 0;
   std::uint64_t records = 0;
   AmEnvelope env;
   std::span<const std::byte> cursor = buffer.as_span();
@@ -223,33 +231,13 @@ void AmEngine::dispatch_buffer(ByteBuffer buffer, pe_id src) {
     outgoing_.recycle(std::move(buffer), src);
   }
   spawn_chunks(std::move(batch.tasks));
-  span.finish(lamellae_.clock().now(), records);
+  if (tracing) {
+    tracer_->record({"dispatch_buffer", "am", my_pe(), start,
+                     lamellae_.now() - start, 'X', records});
+  }
 }
 
 thread_local AmEngine::Chunk* AmEngine::tl_chunk_ = nullptr;
-thread_local AmEngine::AckTally* AmEngine::tl_ack_tally_ = nullptr;
-
-AmEngine::AckTally::AckTally(AmEngine& e)
-    : engine(e), outer(std::exchange(tl_ack_tally_, this)) {}
-
-AmEngine::AckTally::~AckTally() {
-  tl_ack_tally_ = outer;
-  engine.reply_latency_ns_->merge(latency);
-  if (completed != 0) {
-    engine.completed_.fetch_add(completed, std::memory_order_release);
-  }
-}
-
-void AmEngine::note_reply_latency(sim_nanos sent_at) {
-  const sim_nanos now = lamellae_.clock().now();
-  const std::uint64_t latency = now >= sent_at ? now - sent_at : 0;
-  AckTally* tally = tl_ack_tally_;
-  if (tally != nullptr && &tally->engine == this) {
-    tally->latency.record(latency);
-  } else {
-    reply_latency_ns_->record(latency);
-  }
-}
 
 void AmEngine::spawn_chunks(std::vector<Task> records) {
   const std::size_t n = records.size();

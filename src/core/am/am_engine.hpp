@@ -174,28 +174,37 @@ class AmEngine {
     const request_id seq =
         next_request_id_.fetch_add(1, std::memory_order_relaxed);
     am_sent_remote_->inc();
-    const sim_nanos sent_at = lamellae_.clock().now();
+    auto complete = [cb = std::move(on_result)](Deserializer& de) mutable {
+      R r{};
+      de.get(r);
+      cb(std::move(r));
+    };
     // Causal trace sampling: one in every trace_sample_ requests carries a
     // 16-byte wire extension and opens a span that the reply closes
     // (spans_opened == spans_closed at quiesce).  Only replied-to sends are
     // sampled — a fire-and-forget span would never close.  The span is
     // named by the monotone sequence, not the table handle: a handle's low
-    // 48 bits repeat once one slot is reused 65,536 times.
+    // 48 bits repeat once one slot is reused 65,536 times.  Only a sampled
+    // send reads the clock: its reply, always a traced kReplyType record,
+    // records the send-to-completion latency before the callback runs.
     std::uint64_t span = 0;
+    request_id rid = 0;
     if (trace_sample_ != 0 && seq % trace_sample_ == 0) {
       span = make_trace_span(my_pe(), seq);
       spans_opened_->inc();
+      const sim_nanos sent_at = lamellae_.now();
       if (tracer_ != nullptr && tracer_->enabled()) {
         tracer_->record({"am_send", "am", my_pe(), sent_at, 0, 's', seq, span});
       }
+      rid = completers_.insert(
+          [this, sent_at, complete = std::move(complete)](
+              Deserializer& de) mutable {
+            reply_latency_ns_->record(lamellae_.now() - sent_at);
+            complete(de);
+          });
+    } else {
+      rid = completers_.insert(std::move(complete));
     }
-    const request_id rid = completers_.insert(
-        [this, sent_at, cb = std::move(on_result)](Deserializer& de) mutable {
-          note_reply_latency(sent_at);
-          R r{};
-          de.get(r);
-          cb(std::move(r));
-        });
     write_record_inplace(dst, AmTypeId<Am>::id, kWantsReply, rid, am, span,
                          /*allow_relay=*/!InlineAm<Am>);
   }
@@ -306,19 +315,6 @@ class AmEngine {
   /// Called by AmExecutor when an inline record finishes exec().
   void note_inline_executed() { am_executed_->inc(); }
 
-  /// Called by AmExecutor around exec() of a trace-sampled AM: records the
-  /// exec-stage latency histogram and emits the exec slice + flow step.
-  void note_traced_exec(std::uint64_t span, sim_nanos start, sim_nanos end) {
-    const sim_nanos dur = end >= start ? end - start : 0;
-    stage_exec_ns_->record(static_cast<std::uint64_t>(dur));
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->record({"am_exec", "am", my_pe(), start, dur, 'X',
-                       static_cast<std::uint64_t>(dur)});
-      tracer_->record({"am_exec", "am", my_pe(), end, 0, 't',
-                       static_cast<std::uint64_t>(dur), span});
-    }
-  }
-
   /// Invoke exec() mapping void to Unit.
   template <typename Am>
   static am_return_t<Am> invoke_exec(Am& am, AmContext& ctx) {
@@ -328,6 +324,24 @@ class AmEngine {
     } else {
       return am.exec(ctx);
     }
+  }
+
+  /// invoke_exec for AmExecutor.  A trace-sampled record (`span` != 0)
+  /// also records the exec stage and emits the exec slice + flow step; an
+  /// untraced one reads no clock.
+  template <typename Am>
+  am_return_t<Am> exec_record(Am& am, AmContext& ctx, std::uint64_t span) {
+    if (span == 0) return invoke_exec<Am>(am, ctx);
+    const sim_nanos start = lamellae_.now();
+    auto result = invoke_exec<Am>(am, ctx);
+    const sim_nanos end = lamellae_.now();
+    const sim_nanos dur = end - start;
+    stage_exec_ns_->record(dur);
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      tracer_->record({"am_exec", "am", my_pe(), start, dur, 'X', dur});
+      tracer_->record({"am_exec", "am", my_pe(), end, 0, 't', dur, span});
+    }
+    return result;
   }
 
  private:
@@ -368,8 +382,7 @@ class AmEngine {
       std::size_t ext_bytes = 0;
       if (trace_span != 0) {
         rec.write_pod<std::uint64_t>(trace_span);
-        rec.write_pod<std::uint64_t>(
-            static_cast<std::uint64_t>(lamellae_.clock().now()));
+        rec.write_pod<std::uint64_t>(lamellae_.now());
         ext_bytes = kTraceExtBytes;
         if (type != kReplyType) {
           w.note_trace(trace_span,
@@ -411,8 +424,7 @@ class AmEngine {
     std::size_t ext_bytes = 0;
     if (trace_span != 0) {
       rec.write_pod<std::uint64_t>(trace_span);
-      rec.write_pod<std::uint64_t>(
-          static_cast<std::uint64_t>(lamellae_.clock().now()));
+      rec.write_pod<std::uint64_t>(lamellae_.now());
       ext_bytes = kTraceExtBytes;
     }
     {
@@ -479,27 +491,6 @@ class AmEngine {
     std::vector<AckList> acks;
     std::uint64_t executed = 0;
   };
-
-  /// Reply accounting of the kAckType record this thread is completing.
-  /// Its completers record their latencies here (note_reply_latency), and
-  /// the destructor merges them into am.reply_latency_ns and adds
-  /// `completed` to completed_ with release, once, after every callback
-  /// that ran: also when one throws.
-  struct AckTally {
-    explicit AckTally(AmEngine& e);
-    ~AckTally();
-    AckTally(const AckTally&) = delete;
-    AckTally& operator=(const AckTally&) = delete;
-
-    AmEngine& engine;
-    AckTally* outer;
-    obs::HistogramTally latency;
-    std::uint64_t completed = 0;
-  };
-
-  /// Record one completion's reply latency: into the ack record being
-  /// completed on this thread, else straight into am.reply_latency_ns.
-  void note_reply_latency(sim_nanos sent_at);
 
   void charge_serialize(std::size_t bytes);
   void dispatch_buffer(ByteBuffer buffer, pe_id src);
@@ -597,7 +588,6 @@ class AmEngine {
   alignas(kCacheLine) std::atomic<std::uint64_t> completed_{0};
 
   static thread_local Chunk* tl_chunk_;
-  static thread_local AckTally* tl_ack_tally_;
 };
 
 /// Type-erased execution shim instantiated per AM type by the registration
@@ -626,11 +616,7 @@ struct AmExecutor {
     if constexpr (InlineAm<Am>) {
       ScopedWorld scope(engine.world());
       AmContext ctx(*engine.world(), src);
-      const sim_nanos t0 = span != 0 ? engine.lamellae().clock().now() : 0;
-      auto result = AmEngine::invoke_exec<Am>(am, ctx);
-      if (span != 0) {
-        engine.note_traced_exec(span, t0, engine.lamellae().clock().now());
-      }
+      auto result = engine.exec_record(am, ctx, span);
       engine.note_inline_executed();
       if ((flags & kWantsReply) != 0) {
         engine.send_reply(src, rid, result, span, /*allow_relay=*/false);
@@ -645,11 +631,7 @@ struct AmExecutor {
         ScopedWorld scope(engine.world());
         AmContext ctx(*engine.world(), src);
         ArenaFrame frame;
-        const sim_nanos t0 = span != 0 ? engine.lamellae().clock().now() : 0;
-        auto result = AmEngine::invoke_exec<Am>(am, ctx);
-        if (span != 0) {
-          engine.note_traced_exec(span, t0, engine.lamellae().clock().now());
-        }
+        auto result = engine.exec_record(am, ctx, span);
         engine.note_am_executed();
         if ((flags & kWantsReply) != 0) engine.reply(src, rid, result, span);
         hold.reset();
@@ -659,11 +641,7 @@ struct AmExecutor {
                                 span]() mutable {
         ScopedWorld scope(engine.world());
         AmContext ctx(*engine.world(), src);
-        const sim_nanos t0 = span != 0 ? engine.lamellae().clock().now() : 0;
-        auto result = AmEngine::invoke_exec<Am>(am, ctx);
-        if (span != 0) {
-          engine.note_traced_exec(span, t0, engine.lamellae().clock().now());
-        }
+        auto result = engine.exec_record(am, ctx, span);
         engine.note_am_executed();
         if ((flags & kWantsReply) != 0) engine.reply(src, rid, result, span);
       });

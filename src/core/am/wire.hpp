@@ -12,7 +12,7 @@
 //   [u64 span_id][u64 ts]
 // `span_id` identifies one sampled request end-to-end (origin PE in the
 // high 16 bits, origin request id below), so per-PE trace rings stitch into
-// one causal timeline.  `ts` is a virtual-clock nanosecond stamp whose
+// one causal timeline.  `ts` is a Lamellae::now() nanosecond stamp whose
 // meaning depends on direction: requests carry the origin's *flush* time
 // (patched when the aggregation buffer departs, so the receiver can compute
 // flight latency), replies carry the executing PE's reply-inject time (so

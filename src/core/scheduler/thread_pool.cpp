@@ -19,7 +19,7 @@ ThreadPool::ThreadPool(std::size_t num_workers, ProgressHook progress,
   steal_failures_ = &reg.counter("sched.steal_failures");
   queue_depth_ = &reg.gauge("sched.queue_depth");
   tracer_ = obs.tracer;
-  trace_clock_ = obs.clock;
+  trace_now_ = std::move(obs.now);
   trace_pe_ = obs.pe;
   if (num_workers == 0) num_workers = 1;
   workers_.reserve(num_workers);
@@ -114,9 +114,9 @@ Task* ThreadPool::find_task(std::size_t self_index) {
 
 void ThreadPool::run(Task* task) {
   if (tracer_ != nullptr && tracer_->enabled()) {
-    const sim_nanos t0 = trace_clock_ != nullptr ? trace_clock_->now() : 0;
+    const sim_nanos t0 = trace_now_ ? trace_now_() : 0;
     (*task)();
-    const sim_nanos t1 = trace_clock_ != nullptr ? trace_clock_->now() : 0;
+    const sim_nanos t1 = trace_now_ ? trace_now_() : 0;
     tracer_->record({"task", "sched", trace_pe_, t0,
                      t1 >= t0 ? t1 - t0 : 0, 'X', 0});
   } else {

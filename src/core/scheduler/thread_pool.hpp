@@ -26,7 +26,6 @@
 #include "common/types.hpp"
 #include "core/scheduler/deque.hpp"
 #include "core/scheduler/task.hpp"
-#include "fabric/virtual_clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -39,7 +38,7 @@ namespace lamellar {
 struct SchedulerObs {
   obs::MetricsRegistry* registry = nullptr;
   obs::TraceCollector* tracer = nullptr;
-  VirtualClock* clock = nullptr;  // virtual-time source for trace spans
+  std::function<sim_nanos()> now;  // time source for trace spans
   pe_id pe = 0;
 };
 
@@ -129,7 +128,7 @@ class ThreadPool {
   obs::Counter* steal_failures_;
   obs::Gauge* queue_depth_;
   obs::TraceCollector* tracer_;
-  VirtualClock* trace_clock_;
+  std::function<sim_nanos()> trace_now_;
   pe_id trace_pe_;
 
   std::mutex sleep_mu_;

@@ -37,20 +37,7 @@ void Team::barrier() {
   // Flush so AMs staged before the barrier are in flight, then rendezvous.
   // The team rank is the participant's stable identity in the tree barrier.
   world_->engine().flush();
-  if (world_->cross_process()) {
-    // Sibling PEs are other processes, so the in-process SenseBarrier can't
-    // reach them; the full-world team routes through the lamellae barrier.
-    // Sub-teams would need a team barrier in the shared segment — rejected
-    // at creation time by the mp rendezvous, so this cannot be one.
-    if (size() != world_->num_pes()) {
-      throw Error("Team::barrier: sub-team barrier under a process-separated "
-                  "backend");
-    }
-    world_->lamellae().barrier();
-    return;
-  }
-  shared_->barrier.arrive_and_wait(my_rank(), &world_->lamellae().clock(),
-                                   world_->lamellae().params().barrier_ns);
+  world_->lamellae().barrier(shared_->barrier, my_rank());
 }
 
 // ---- OneSidedRegistry ----
@@ -110,7 +97,7 @@ World::World(WorldBackend& backend, std::unique_ptr<Lamellae> lamellae,
         }
       },
       SchedulerObs{&lamellae_->metrics(), &backend.tracer(),
-                   &lamellae_->clock(), pe},
+                   [l = lamellae_.get()] { return l->now(); }, pe},
       std::chrono::microseconds(backend.config().park_timeout_us));
   engine_ = std::make_unique<AmEngine>(*lamellae_, *pool_, backend.config(),
                                        &backend.tracer());
@@ -134,8 +121,7 @@ void World::barrier() {
   engine_->flush();
   obs::TraceCollector& tracer = backend_.tracer();
   if (tracer.enabled()) {
-    tracer.record({"barrier", "sync", my_pe(), lamellae_->clock().now(), 0,
-                   'i', 0});
+    tracer.record({"barrier", "sync", my_pe(), lamellae_->now(), 0, 'i', 0});
   }
   lamellae_->barrier();
 }

@@ -179,8 +179,9 @@ class World {
     return backend_.cross_process();
   }
 
-  /// Virtual time on this PE's clock (ns).
-  [[nodiscard]] sim_nanos time_ns() { return lamellae_->clock().now(); }
+  /// This PE's time in ns (Lamellae::now()): modeled time under virtual
+  /// time, real steady-clock time otherwise.
+  [[nodiscard]] sim_nanos time_ns() { return lamellae_->now(); }
 
   // ---- observability ----
 

@@ -80,19 +80,6 @@ class SenseBarrier {
     if (clock != nullptr) clock->raise_to(release);
   }
 
-  /// Anonymous arrival, valid only when the tree is a single node (i.e.
-  /// participants <= kFanIn): with one flat group, arrival order alone is
-  /// safe.  Larger trees need stable identities for fixed leaf membership.
-  void arrive_and_wait(VirtualClock* clock = nullptr, double cost_ns = 0.0) {
-    if (level_base_.size() != 1) {
-      throw Error(
-          "SenseBarrier: anonymous arrival requires <= kFanIn participants");
-    }
-    const sim_nanos arrival = clock != nullptr ? clock->now() : 0;
-    const sim_nanos release = arrive_node(0, 0, arrival, cost_ns);
-    if (clock != nullptr) clock->raise_to(release);
-  }
-
   [[nodiscard]] std::size_t participants() const { return participants_; }
 
  private:

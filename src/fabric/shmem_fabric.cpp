@@ -193,8 +193,12 @@ bool ShmemFabric::inbox_empty(pe_id pe) const {
 
 void ShmemFabric::barrier(pe_id pe) {
   fab_metrics_[pe].barriers->inc();
-  world_barrier_.arrive_and_wait(pe, virtual_time_ ? &clocks_[pe] : nullptr,
-                                 params_.barrier_ns);
+  barrier(pe, world_barrier_, pe);
+}
+
+void ShmemFabric::barrier(pe_id pe, SenseBarrier& b, std::size_t rank) {
+  b.arrive_and_wait(rank, virtual_time_ ? &clocks_[pe] : nullptr,
+                    params_.barrier_ns);
 }
 
 }  // namespace lamellar

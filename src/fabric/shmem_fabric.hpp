@@ -92,7 +92,13 @@ class ShmemFabric {
   [[nodiscard]] bool inbox_empty(pe_id pe) const;
 
   // ---- synchronization ----
+
+  /// World barrier (counted in fabric.barriers).
   void barrier(pe_id pe);
+
+  /// `pe` arrives at `b` as participant `rank`; its clock joins the
+  /// barrier only while virtual time is on.
+  void barrier(pe_id pe, SenseBarrier& b, std::size_t rank);
 
   VirtualClock& clock(pe_id pe) { return clocks_[pe]; }
 

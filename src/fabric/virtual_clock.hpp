@@ -32,8 +32,6 @@ class VirtualClock {
     }
   }
 
-  void reset() { ns_.store(0, std::memory_order_relaxed); }
-
  private:
   std::atomic<sim_nanos> ns_{0};
 };

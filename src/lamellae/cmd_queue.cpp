@@ -57,12 +57,12 @@ OutgoingQueues::Lane& OutgoingQueues::lane(pe_id dst) {
 
 void OutgoingQueues::RecordWriter::note_trace(std::uint64_t span,
                                               std::size_t ts_offset) {
-  lane_->traced.push_back({span, ts_offset, q_->lamellae_.clock().now()});
+  lane_->traced.push_back({span, ts_offset, q_->lamellae_.now()});
 }
 
 void OutgoingQueues::seal_traced(ByteBuffer& buf,
                                  std::vector<TracedRecord>& traced) {
-  const sim_nanos now = lamellae_.clock().now();
+  const sim_nanos now = lamellae_.now();
   for (const TracedRecord& t : traced) {
     // Patch the wire trace-ext ts with the departure time so the receiver
     // can compute flight latency from its own arrival clock.
@@ -144,12 +144,12 @@ void OutgoingQueues::commit_record(RecordWriter& w, const ProgressFn& progress) 
   if (lane.active.size() >= threshold) {
     // Swap the filled buffer out; the lane goes back to empty immediately
     // (the second half of the double buffer) so other writers continue.
-    to_send = extract_locked(lane, traced, lamellae_.mono_now());
+    to_send = extract_locked(lane, traced, lamellae_.now());
     (record_bytes >= threshold ? metrics_.bypass_large
                                : metrics_.flush_threshold)
         ->inc();
   } else if (!was_counted && record_bytes > 0) {
-    lane.first_staged = lamellae_.mono_now();
+    lane.first_staged = lamellae_.now();
     lane.occupied.store(true, std::memory_order_release);
     nonempty_lanes_.fetch_add(1, std::memory_order_relaxed);
     metrics_.nonempty_lanes->add(1);
@@ -181,7 +181,7 @@ void OutgoingQueues::flush(pe_id dst, const ProgressFn& progress) {
       release_storage_locked(lane);
       return;
     }
-    to_send = extract_locked(lane, traced, lamellae_.mono_now());
+    to_send = extract_locked(lane, traced, lamellae_.now());
   }
   if (!traced.empty()) seal_traced(to_send, traced);
   metrics_.flush_explicit->inc();

@@ -62,7 +62,7 @@ class OutgoingQueues {
     /// Sampled records currently staged in `active` (almost always empty;
     /// moved out together with the buffer when it departs).
     std::vector<TracedRecord> traced;
-    /// mono_now() stamp of the empty->nonempty transition, written under
+    /// now() stamp of the empty->nonempty transition, written under
     /// `mu`: the age of the oldest staged record, recorded into
     /// cmdq.lane_age_ns at every buffer departure.
     sim_nanos first_staged = 0;

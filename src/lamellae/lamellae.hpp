@@ -20,7 +20,6 @@
 #include "common/types.hpp"
 #include "fabric/perf_model.hpp"
 #include "fabric/shmem_fabric.hpp"
-#include "fabric/virtual_clock.hpp"
 
 namespace lamellar {
 
@@ -102,15 +101,18 @@ class Lamellae {
   virtual BufferPool& buffer_pool(pe_id pe) = 0;
 
   // ---- synchronization / accounting ----
-  virtual void barrier() = 0;
-  virtual VirtualClock& clock() = 0;
 
-  /// Monotonic nanoseconds for lane age stamps (cmdq.lane_age_ns).
-  /// Distinct from clock(): the virtual clock
-  /// only advances when perf-model charging is enabled, so backends where
-  /// it would sit at zero (virtual time off, or the mmap backend's real
-  /// processes) must report real steady-clock time instead.
-  [[nodiscard]] virtual sim_nanos mono_now() const { return real_now_ns(); }
+  /// World barrier over every PE.
+  virtual void barrier() = 0;
+
+  /// Team barrier: this PE arrives at `team` as participant `rank`.
+  virtual void barrier(SenseBarrier& team, std::size_t rank) = 0;
+
+  /// This PE's time in nanoseconds, the one time source every stamp reads
+  /// (trace events, stage histograms, lane ages): the PE's virtual clock
+  /// while the performance model charges it, steady-clock nanoseconds
+  /// otherwise.
+  [[nodiscard]] virtual sim_nanos now() const { return real_now_ns(); }
 
  protected:
   [[nodiscard]] static sim_nanos real_now_ns() {
@@ -121,7 +123,6 @@ class Lamellae {
   }
 
  public:
-
   /// This PE's metrics registry (observability layer).  Always valid; an
   /// inert registry is returned when metrics are disabled.
   virtual obs::MetricsRegistry& metrics() = 0;

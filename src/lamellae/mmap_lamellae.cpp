@@ -498,7 +498,6 @@ bool MmapLamellae::poll(FabricMessage& out) {
       ring_wakes_->inc();
     }
     out.src = src;
-    out.arrival_time = clock_.now();
     out.payload = ByteBuffer(std::move(payload));
     poll_cursor_ = (src + 1) % num_pes_;
     msgs_polled_->inc();
@@ -598,6 +597,14 @@ void MmapLamellae::barrier() {
                                (stragglers.empty() ? "?" : stragglers));
     }
   }
+}
+
+void MmapLamellae::barrier(SenseBarrier& team, std::size_t /*rank*/) {
+  if (team.participants() != num_pes_) {
+    throw Error("Team::barrier: sub-team barrier under a process-separated "
+                "backend");
+  }
+  barrier();
 }
 
 }  // namespace lamellar

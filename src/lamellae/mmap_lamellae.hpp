@@ -191,10 +191,10 @@ class MmapLamellae final : public Lamellae {
   BufferPool& buffer_pool(pe_id) override { return *buffer_pool_; }
 
   void barrier() override;
-  VirtualClock& clock() override { return clock_; }
-  /// Real processes, real time: charge() never advances clock_, so age and
-  /// tick decisions must come from the steady clock (the base default).
-  [[nodiscard]] sim_nanos mono_now() const override { return real_now_ns(); }
+  /// Only the full-world team can meet here, in the segment's world
+  /// barrier: a sub-team would need team state in the shared segment (the
+  /// mp rendezvous already rejects creating one).
+  void barrier(SenseBarrier& team, std::size_t rank) override;
   obs::MetricsRegistry& metrics() override { return registry_; }
   [[nodiscard]] const PerfParams& params() const override { return params_; }
   /// Real processes run on real time: there is no modeled time to charge.
@@ -255,7 +255,6 @@ class MmapLamellae final : public Lamellae {
   std::unique_ptr<OffsetHeap> onesided_heap_;
   std::unique_ptr<BufferPool> buffer_pool_;
 
-  VirtualClock clock_;
   PerfParams params_;
   obs::MetricsRegistry registry_;
 

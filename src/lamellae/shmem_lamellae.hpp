@@ -167,10 +167,11 @@ class ShmemLamellae final : public Lamellae {
   OffsetHeap& onesided_heap() { return group_.onesided_heap(pe_); }
 
   void barrier() override { group_.fabric_.barrier(pe_); }
-  VirtualClock& clock() override { return group_.fabric_.clock(pe_); }
-  /// Virtual-time runs pace age decisions off the modeled clock; with
-  /// virtual time off that clock stays at zero, so fall back to real time.
-  [[nodiscard]] sim_nanos mono_now() const override {
+  void barrier(SenseBarrier& team, std::size_t rank) override {
+    group_.fabric_.barrier(pe_, team, rank);
+  }
+  /// With virtual time off the PE clock stays at zero: real time instead.
+  [[nodiscard]] sim_nanos now() const override {
     return group_.fabric_.virtual_time_enabled()
                ? group_.fabric_.clock(pe_).now()
                : real_now_ns();

@@ -78,8 +78,6 @@ struct alignas(kCacheLine) Gauge {
   }
 };
 
-struct HistogramTally;
-
 /// Log2-bucketed value histogram: bucket i counts values whose bit width is
 /// i, i.e. [2^(i-1), 2^i), with 0 landing in bucket 0.  64 buckets cover
 /// the full u64 range, so latencies in nanoseconds never saturate.
@@ -95,61 +93,17 @@ struct alignas(kCacheLine) Histogram {
     return v == 0 ? 0 : static_cast<std::size_t>(64 - __builtin_clzll(v));
   }
 
-  /// bucket_of clamped into the array: values of bit width 64 share the
-  /// top bucket.
-  static std::size_t index_of(std::uint64_t v) {
-    return bucket_of(v) < kBuckets ? bucket_of(v) : kBuckets - 1;
-  }
-
   void record(std::uint64_t v) {
-    buckets[index_of(v)].fetch_add(1, std::memory_order_relaxed);
+    buckets[bucket_of(v) < kBuckets ? bucket_of(v) : kBuckets - 1].fetch_add(
+        1, std::memory_order_relaxed);
     count.fetch_add(1, std::memory_order_relaxed);
     sum.fetch_add(v, std::memory_order_relaxed);
-    raise_max(v);
-  }
-
-  /// Add a tally's samples: one RMW per non-empty bucket, plus one each for
-  /// count, sum and max.
-  void merge(const HistogramTally& t);
-
- private:
-  void raise_max(std::uint64_t v) {
     std::uint64_t m = max_value.load(std::memory_order_relaxed);
     while (v > m && !max_value.compare_exchange_weak(
                         m, v, std::memory_order_relaxed)) {
     }
   }
 };
-
-/// Samples for one Histogram gathered by a single thread.  A loop that
-/// records many samples in a row records them here, on its stack, and
-/// merges once, so the histogram's shared lines take one update per batch
-/// instead of four per sample.
-struct HistogramTally {
-  std::array<std::uint64_t, Histogram::kBuckets> buckets{};
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t max_value = 0;
-
-  void record(std::uint64_t v) {
-    ++buckets[Histogram::index_of(v)];
-    ++count;
-    sum += v;
-    if (v > max_value) max_value = v;
-  }
-};
-
-inline void Histogram::merge(const HistogramTally& t) {
-  if (t.count == 0) return;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    if (t.buckets[i] != 0) {
-      buckets[i].fetch_add(t.buckets[i], std::memory_order_relaxed);
-    }
-  }
-  count.fetch_add(t.count, std::memory_order_relaxed);
-  sum.fetch_add(t.sum, std::memory_order_relaxed);
-  raise_max(t.max_value);
-}
 
 /// Point-in-time copy of one histogram, usable without atomics.
 struct HistogramSnapshot {

@@ -1,7 +1,7 @@
 // Trace-event layer (observability, ISSUE 1).
 //
 // Fixed-capacity per-thread ring buffers of spans and instants stamped with
-// the owning PE's *virtual* clock, exported as Chrome trace_event JSON
+// the owning PE's time (Lamellae::now()), exported as Chrome trace_event JSON
 // (loadable in chrome://tracing or Perfetto).  Each ring is written only by
 // its owning thread; export happens after the worker threads are joined, so
 // the rings need no atomics.  When the ring wraps, the oldest events are
@@ -25,7 +25,7 @@ struct TraceEvent {
   const char* name = "";  // must point to a string literal / static storage
   const char* category = "";
   pe_id pe = 0;
-  sim_nanos ts = 0;   // virtual-clock nanoseconds
+  sim_nanos ts = 0;   // Lamellae::now(): virtual or steady-clock ns
   sim_nanos dur = 0;  // span duration (0 for instants)
   char phase = 'X';   // 'X' complete span, 'i' instant, 's'/'t'/'f' flow
   std::uint64_t arg = 0;
@@ -101,38 +101,6 @@ class TraceCollector {
   mutable std::mutex mu_;
   std::deque<std::unique_ptr<TraceRing>> rings_;
   std::map<std::thread::id, TraceRing*> by_thread_;
-};
-
-/// RAII span: stamps start on construction, records on destruction.
-/// Inert (no ring lookup) when the collector is null or disabled.
-class TraceSpan {
- public:
-  TraceSpan(TraceCollector* collector, const char* name, const char* category,
-            pe_id pe, sim_nanos now)
-      : collector_(collector != nullptr && collector->enabled() ? collector
-                                                                : nullptr),
-        name_(name),
-        category_(category),
-        pe_(pe),
-        start_(now) {}
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  /// Close the span at virtual time `now`.
-  void finish(sim_nanos now, std::uint64_t arg = 0) {
-    if (collector_ == nullptr) return;
-    collector_->record({name_, category_, pe_, start_,
-                        now >= start_ ? now - start_ : 0, 'X', arg});
-    collector_ = nullptr;
-  }
-
- private:
-  TraceCollector* collector_;
-  const char* name_;
-  const char* category_;
-  pe_id pe_;
-  sim_nanos start_;
 };
 
 }  // namespace lamellar::obs

@@ -100,12 +100,14 @@ class MpTest : public ::testing::Test {
   } while (0)
 
 /// Declare a gtest case whose body runs SPMD on `n_pes` forked processes.
-/// The body receives `lamellar::World& world`; use MP_CHECK inside.
-#define MP_TEST(suite, name, n_pes)                                   \
-  struct MpBody_##suite##_##name {                                    \
-    static void run(lamellar::World& world);                          \
-  };                                                                  \
-  TEST_F(suite, name) {                                               \
-    lamellar::mptest::run_mp((n_pes), &MpBody_##suite##_##name::run); \
-  }                                                                   \
+/// The body receives `lamellar::World& world`; use MP_CHECK inside.  An
+/// optional fourth argument is the RuntimeConfig (default small_config()).
+#define MP_TEST(suite, name, n_pes, ...)                                \
+  struct MpBody_##suite##_##name {                                      \
+    static void run(lamellar::World& world);                            \
+  };                                                                    \
+  TEST_F(suite, name) {                                                 \
+    lamellar::mptest::run_mp((n_pes), &MpBody_##suite##_##name::run     \
+                                 __VA_OPT__(, ) __VA_ARGS__);           \
+  }                                                                     \
   void MpBody_##suite##_##name::run(lamellar::World& world)

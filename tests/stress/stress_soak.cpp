@@ -455,6 +455,12 @@ void check_quiesced_invariants(World& world, std::size_t round,
       world.metrics().counter("trace.spans_closed").get();
   SOAK_CHECK(spans_opened == spans_closed, "trace span conservation",
              spans_opened, spans_closed, me, round);
+  // Only sampled requests are stamped: one reply-latency sample per span.
+  const std::uint64_t latencies =
+      world.metrics().histogram("am.reply_latency_ns").count.load(
+          std::memory_order_relaxed);
+  SOAK_CHECK(latencies == spans_closed, "one reply latency per span",
+             latencies, spans_closed, me, round);
 
   // Pool accounting: recycling never exceeds the retention bound.
   auto& pool = world.engine().outgoing().pool();

@@ -212,9 +212,11 @@ TEST(AmBatch, AcksBeforeBlockingRecordReachOrigin) {
   for (const auto& s : snaps) {
     sent += s.counter("am.sent_remote") + s.counter("am.sent_local");
     executed += s.counter("am.executed");
+    // Sampling is off (a sampled Unit reply leaves unacked): no request is
+    // stamped.
     const auto* h = s.histogram("am.reply_latency_ns");
     ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->count, s.counter("am.replies_received"));
+    EXPECT_EQ(h->count, s.counter("trace.spans_closed"));
   }
   EXPECT_GT(sent, 0u);
   EXPECT_EQ(executed, sent);
@@ -249,6 +251,7 @@ TEST(AmBatch, UnitAcksBatchAndBalance) {
     g_fillers.store(0);
     RuntimeConfig cfg = batch_cfg(1);
     cfg.route = route;
+    cfg.trace_sample = 7;  // sampled replies alongside the acks
     std::vector<obs::MetricsSnapshot> snaps(kPes);
     std::atomic<std::uint64_t> completed{0};
     run_world(
@@ -281,9 +284,11 @@ TEST(AmBatch, UnitAcksBatchAndBalance) {
       replies_received += s.counter("am.replies_received");
       ack_records += s.counter("am.ack_records");
       relayed += s.counter("am.relayed_records");
+      // Only the sampled requests' latencies are recorded.
       const auto* h = s.histogram("am.reply_latency_ns");
       ASSERT_NE(h, nullptr);
-      EXPECT_EQ(h->count, s.counter("am.replies_received"));
+      EXPECT_GT(h->count, 0u);
+      EXPECT_EQ(h->count, s.counter("trace.spans_closed"));
     }
     EXPECT_EQ(completed.load(), kPes * kEach);
     EXPECT_EQ(g_fillers.load(), kPes * kEach);

@@ -171,19 +171,26 @@ TEST(Config, UnknownEnvVarsFlagged) {
   // The adaptive controller's knob is gone (DESIGN.md §14); a run that
   // still sets it gets the startup warning instead of silent defaults.
   ::setenv("LAMELLAR_ADAPT", "agg", 1);
+  // So is the virtual-time knob: only run_world's virtual_time argument
+  // selects virtual time.
+  ::setenv("LAMELLAR_VIRTUAL_TIME", "0", 1);
   auto unknown = unknown_lamellar_env_vars();
   bool saw_bogus = false;
   bool saw_adapt = false;
+  bool saw_virtual_time = false;
   for (const auto& name : unknown) {
     EXPECT_NE(name, "LAMELLAR_AGG_THRESHOLD");
     if (name == "LAMELLAR_DEFINITELY_NOT_A_KNOB") saw_bogus = true;
     if (name == "LAMELLAR_ADAPT") saw_adapt = true;
+    if (name == "LAMELLAR_VIRTUAL_TIME") saw_virtual_time = true;
   }
   EXPECT_TRUE(saw_bogus);
   EXPECT_TRUE(saw_adapt);
+  EXPECT_TRUE(saw_virtual_time);
   ::unsetenv("LAMELLAR_DEFINITELY_NOT_A_KNOB");
   ::unsetenv("LAMELLAR_AGG_THRESHOLD");
   ::unsetenv("LAMELLAR_ADAPT");
+  ::unsetenv("LAMELLAR_VIRTUAL_TIME");
 }
 
 TEST(UniqueFunction, MoveOnlyCapture) {

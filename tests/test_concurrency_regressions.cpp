@@ -299,7 +299,7 @@ TEST(SenseBarrier, MixedClockedAndClocklessRounds) {
       for (int r = 0; r < kRounds; ++r) {
         if (clk != nullptr) clk->advance(static_cast<double>(rng.uniform(50)));
         arrivals.fetch_add(1, std::memory_order_relaxed);
-        barrier.arrive_and_wait(clk, kCostNs);
+        barrier.arrive_and_wait(t, clk, kCostNs);
         // Release implies every participant of this round arrived.
         ASSERT_GE(arrivals.load(std::memory_order_relaxed),
                   kParticipants * static_cast<std::uint64_t>(r + 1));

@@ -212,6 +212,7 @@ TEST(Lamellae, SymmetricFreeNeedsAllPes) {
   // Not yet freed: an immediate allocation must not reuse the offset.
   auto b0 = l0->alloc_symmetric(1 << 20, 16);
   auto b1 = l1->alloc_symmetric(1 << 20, 16);
+  EXPECT_EQ(b1, b0);  // a symmetric allocation has one offset on every PE
   EXPECT_NE(b0, a0);
   l1->free_symmetric(a0);  // second call completes the collective free
   auto c0 = l0->alloc_symmetric(1 << 20, 16);
@@ -298,8 +299,8 @@ LAMELLAR_REGISTER_AM(EchoAm);
 namespace {
 
 TEST(Fabric, WallClockWorldChargesNothing) {
-  // The same AM round trips charge the modeled clock in a virtual-time
-  // world and nothing at all in a wall-clock one.
+  // The same AM round trips and team barriers charge the modeled clock in a
+  // virtual-time world and leave it at zero in a wall-clock one.
   for (const bool virtual_time : {false, true}) {
     SCOPED_TRACE(virtual_time ? "virtual time" : "wall clock");
     std::vector<std::uint64_t> charged(2, 0);
@@ -312,10 +313,15 @@ TEST(Fabric, WallClockWorldChargesNothing) {
             (void)w.exec_am_pe(other, EchoAm{i});
           }
           w.wait_all();
+          // Array creation and fill run team barriers.
+          auto arr = AtomicArray<std::uint64_t>::create(w, 16,
+                                                        Distribution::kBlock);
+          arr.fill(1);
           w.barrier();
           charged[w.my_pe()] =
               w.metrics_snapshot().counter("fabric.vtime_charged_ns");
-          clock[w.my_pe()] = w.lamellae().clock().now();
+          clock[w.my_pe()] =
+              w.group().lamellae_group().fabric().clock(w.my_pe()).now();
         },
         RuntimeConfig{}, paper_perf_params(), PeMapping{}, virtual_time);
     for (pe_id pe = 0; pe < 2; ++pe) {

@@ -168,6 +168,38 @@ MP_TEST(MpSmoke, EightPeAmStorm, 8) {
   MP_CHECK_EQ(g_received.load(), kRounds * 8);
 }
 
+// ---- causal tracing in real time ----
+
+RuntimeConfig traced_config() {
+  RuntimeConfig cfg = mptest::small_config();
+  cfg.trace_sample = 1;  // every replied-to request
+  return cfg;
+}
+
+// Processes have no virtual clock: every stage reads the host's steady
+// clock, which all PEs share, so the stages that take time read above zero.
+MP_TEST(MpSmoke, SampledStagesReadRealTime, 2, traced_config()) {
+  constexpr std::uint64_t kRoundTrips = 100;
+  const pe_id other = 1 - world.my_pe();
+  for (std::uint64_t i = 0; i < kRoundTrips; ++i) {
+    MP_CHECK_EQ(world.block_on(world.exec_am_pe(other, MpAddAm{i, 1})), i + 1);
+  }
+  world.barrier();  // the peer's requests have run here too
+  const obs::MetricsSnapshot s = world.metrics_snapshot();
+  const std::uint64_t closed = s.counter("trace.spans_closed");
+  MP_CHECK_EQ(s.counter("trace.spans_opened"), closed);
+  MP_CHECK(closed >= kRoundTrips);
+  for (const char* name :
+       {"am.stage_inject_flush_ns", "am.stage_flight_ns",
+        "am.stage_reply_complete_ns", "am.reply_latency_ns"}) {
+    const obs::HistogramSnapshot* h = s.histogram(name);
+    MP_CHECK(h != nullptr);
+    MP_CHECK(h->percentiles().p50 > 0);
+  }
+  MP_CHECK_EQ(s.histogram("am.reply_latency_ns")->count, closed);
+  MP_CHECK(s.histogram("am.stage_exec_ns")->count > 0);
+}
+
 // ---- Darc across address spaces ----
 
 MP_TEST(MpSmoke, DarcTravelsInAms, 4) {

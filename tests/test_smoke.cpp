@@ -156,7 +156,9 @@ TEST(Smoke, SharedRegionPutGet) {
     // Read PE 3's slab remotely.
     std::uint64_t got = 0;
     region.unsafe_get(3, 5, std::span<std::uint64_t>(&got, 1));
-    if (world.my_pe() != 3) EXPECT_EQ(got, 3u);
+    if (world.my_pe() != 3) {
+      EXPECT_EQ(got, 3u);
+    }
     world.barrier();
   });
 }

@@ -11,6 +11,10 @@ is the span id (origin PE in the top 16 bits over the origin request id):
     am_exec ('t', executing PE)   exec() finished; args.v = exec ns
     am_complete ('f', origin PE)  reply consumed; args.v = reply->complete ns
 
+Timestamps are the runtime's one time source, Lamellae::now(): per-PE
+virtual clocks in a virtual-time run, the host's steady clock (shared by
+every PE) in wall-clock and multi-process runs.
+
 This tool merges the files into one Perfetto-loadable timeline, verifies
 every chain is complete and causally ordered (timestamps are only compared
 within a single PE: per-PE virtual clocks are not globally ordered), and
