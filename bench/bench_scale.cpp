@@ -219,7 +219,6 @@ RowStats run_one(const std::string& kernel, std::size_t pes, RouteMode route,
   RuntimeConfig cfg;
   cfg.threads_per_pe = 1;
   cfg.agg_threshold_bytes = env_size("LAMELLAR_SCALE_AGG", 2048);
-  cfg.internal_heap_bytes = 64 * 1024;
   cfg.symmetric_heap_bytes = 256 * 1024;
   cfg.onesided_heap_bytes = 64 * 1024;
   cfg.metrics_mode = MetricsMode::kQuiet;

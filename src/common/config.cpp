@@ -24,7 +24,6 @@ constexpr const char* kKnownEnvVars[] = {
     "LAMELLAR_AGG_THRESHOLD",
     "LAMELLAR_BACKEND",
     "LAMELLAR_BATCH_OP_LIMIT",
-    "LAMELLAR_INTERNAL_HEAP",
     "LAMELLAR_METRICS",
     "LAMELLAR_METRICS_FILE",
     "LAMELLAR_METRICS_INTERVAL_MS",
@@ -178,8 +177,6 @@ RuntimeConfig RuntimeConfig::from_env() {
   cfg.route = parse_route_mode(env_str("LAMELLAR_ROUTE", "direct"));
   cfg.route_direct_cutoff_bytes =
       env_size("LAMELLAR_ROUTE_CUTOFF", cfg.route_direct_cutoff_bytes);
-  cfg.internal_heap_bytes =
-      env_size("LAMELLAR_INTERNAL_HEAP", cfg.internal_heap_bytes);
   cfg.park_timeout_us = env_u64("LAMELLAR_PARK_US", cfg.park_timeout_us);
   cfg.backend = parse_backend_kind(env_str("LAMELLAR_BACKEND", "shmem"));
   cfg.mp_ring_bytes = env_size("LAMELLAR_MP_RING", cfg.mp_ring_bytes);

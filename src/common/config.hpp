@@ -112,11 +112,6 @@ struct RuntimeConfig {
   /// agg_threshold_bytes / 8 (env: LAMELLAR_ROUTE_CUTOFF).
   std::size_t route_direct_cutoff_bytes = 0;
 
-  /// Runtime-reserved region at the base of each PE's arena (env:
-  /// LAMELLAR_INTERNAL_HEAP).  Shrink together with the heaps so
-  /// thousand-PE worlds fit in CI memory.
-  std::size_t internal_heap_bytes = std::size_t{1} * 1024 * 1024;
-
   /// Worker park timeout in microseconds (env: LAMELLAR_PARK_US; default
   /// 200).  Idle workers wake this often to run the progress hook; raise it
   /// for massively oversubscribed scale runs (thousands of PEs on a few

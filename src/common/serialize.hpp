@@ -285,7 +285,9 @@ class Deserializer {
 /// Serialize a single value into a fresh buffer.
 template <typename T>
 ByteBuffer serialize_to_buffer(const T& v) {
-  ByteBuffer buf;
+  // A small first reserve, so the first write lands in place: appending to
+  // a vector with no storage draws a false -Wstringop-overflow from GCC 12.
+  ByteBuffer buf(64);
   Serializer ser(buf);
   ser.put(v);
   return buf;

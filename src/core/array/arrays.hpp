@@ -228,8 +228,10 @@ class ArrayBase {
     ArrayState<T>& st = *state_;
     auto [lo, hi] = st.local_view_range(view_start_, view_len_);
     // Direct writes under the PE-wide lock (apply_one would re-lock it).
-    std::optional<std::unique_lock<std::shared_mutex>> lock;
-    if (st.mode == ArrayMode::kLocalLock) lock.emplace(*st.local_lock);
+    std::unique_lock<std::shared_mutex> lock;
+    if (st.mode == ArrayMode::kLocalLock) {
+      lock = std::unique_lock<std::shared_mutex>(*st.local_lock);
+    }
     auto slab = st.local_slab();
     for (std::size_t i = lo; i < hi; ++i) {
       if (st.mode == ArrayMode::kAtomicNative ||
@@ -239,7 +241,7 @@ class ArrayBase {
         slab[i] = value;
       }
     }
-    lock.reset();
+    if (lock) lock.unlock();
     const_cast<Team&>(st.team).barrier();
   }
 

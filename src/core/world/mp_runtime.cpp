@@ -14,10 +14,7 @@ MpProcessRuntime::MpProcessRuntime(const std::string& segment_name, pe_id pe,
       tracer_(!cfg_.trace_file.empty(), cfg_.trace_ring_capacity) {
   // Each process writes its own files: siblings are separate processes, so
   // unlike the in-process group there is no shared collector to merge into.
-  if (!cfg_.trace_file.empty()) {
-    cfg_.trace_file = obs::per_pe_path(cfg_.trace_file, pe);
-    cfg_.trace_per_pe = false;
-  }
+  cfg_.trace_per_pe = true;
   if (!cfg_.metrics_file.empty()) {
     cfg_.metrics_file = obs::per_pe_path(cfg_.metrics_file, pe);
   }
@@ -56,47 +53,13 @@ void MpProcessRuntime::finish() {
   if (finished_) return;
   finished_ = true;
   if (telemetry_) telemetry_->stop();
-  const std::vector<obs::MetricsSnapshot> snaps{world_->metrics_snapshot()};
-  if (cfg_.metrics_mode == MetricsMode::kSummary) {
-    obs::print_summary(stderr, snaps);
-  } else if (cfg_.metrics_mode == MetricsMode::kJson) {
-    obs::print_json(stderr, snaps);
-  }
-  if (!cfg_.trace_file.empty() &&
-      !tracer_.write_chrome_json(cfg_.trace_file)) {
-    std::fprintf(stderr, "lamellar: failed to write trace file %s\n",
-                 cfg_.trace_file.c_str());
-  }
+  write_run_reports(cfg_, {world_->metrics_snapshot()}, tracer_,
+                    world_->my_pe());
   // Workers poll the engine through the idle hook; they must be joined
   // before World's members destruct (same ordering WorldGroup's destructor
   // enforces for the in-process backend).
   world_->pool().shutdown();
   lamellae_->mark_exited();
-}
-
-bool MpProcessRuntime::quiesce_round(World& world) {
-  // Cross-process mirror of WorldGroup::quiesce_round: drain local work,
-  // publish this PE's outstanding count into its control-segment slot, let
-  // PE 0 sum all slots into the shared decision word, read it back.  The
-  // three barriers keep publish/decide/read in distinct epochs.
-  const pe_id me = world.my_pe();
-  world.engine().wait_all();
-  world.barrier();
-  std::uint64_t mine = world.engine().outstanding() + world.pool().pending();
-  if (world.engine().outgoing().has_pending()) ++mine;
-  if (!world.lamellae().inbox_empty()) ++mine;
-  lamellae_->quiesce_slot(me).store(mine, std::memory_order_release);
-  world.barrier();
-  if (me == 0) {
-    std::uint64_t sum = 0;
-    for (pe_id p = 0; p < world.num_pes(); ++p) {
-      sum += lamellae_->quiesce_slot(p).load(std::memory_order_acquire);
-    }
-    lamellae_->quiesce_decision().store(sum == 0 ? 1 : 0,
-                                        std::memory_order_release);
-  }
-  world.barrier();
-  return lamellae_->quiesce_decision().load(std::memory_order_acquire) == 1;
 }
 
 std::shared_ptr<TeamShared> MpProcessRuntime::rendezvous_team(

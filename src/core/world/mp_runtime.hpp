@@ -4,11 +4,11 @@
 // Under LAMELLAR_BACKEND=mmap, run_world forks one OS process per PE over a
 // shared MmapSegment.  Inside each child, an MpProcessRuntime is the
 // WorldBackend: it owns that process's single World (over an MmapLamellae
-// endpoint), reroutes the quiesce protocol through control words in the
-// shared segment, restricts team rendezvous to full-world replicas, and
-// retargets observability output (metrics summary/JSON, telemetry JSONL,
-// trace files) to per-process paths so concurrent children never share a
-// file and bench lines still merge.
+// endpoint), restricts team rendezvous to full-world replicas, and
+// retargets observability output (telemetry JSONL, one trace file per PE)
+// to per-process paths so concurrent children never share a file and bench
+// lines still merge.  Termination detection needs nothing here:
+// World::quiesce_round runs on the Lamellae's atomics and barriers.
 #pragma once
 
 #include <functional>
@@ -34,10 +34,8 @@ class MpProcessRuntime final : public WorldBackend {
 
   [[nodiscard]] const RuntimeConfig& config() const override { return cfg_; }
   obs::TraceCollector& tracer() override { return tracer_; }
-  bool quiesce_round(World& world) override;
   std::shared_ptr<TeamShared> rendezvous_team(
       pe_id pe, std::vector<pe_id> members) override;
-  [[nodiscard]] bool cross_process() const override { return true; }
 
   /// Orderly teardown: stop telemetry, emit this process's reports, shut
   /// the pool down (workers must stop polling the engine before World's

@@ -153,8 +153,23 @@ Team World::split_block(std::size_t block) {
   return Team(this, shared);
 }
 
+bool World::quiesce_round() {
+  engine_->wait_all();
+  barrier();
+  std::uint64_t mine = engine_->outstanding() + pool_->pending();
+  if (engine_->outgoing().has_pending()) ++mine;
+  if (!lamellae_->inbox_empty()) ++mine;
+  lamellae_->atomic_fetch_add_u64(0, kQuiesceCountOffset, mine);
+  barrier();
+  const std::uint64_t total =
+      lamellae_->atomic_load_u64(0, kQuiesceCountOffset);
+  const bool quiet = total == quiesce_total_;
+  quiesce_total_ = total;
+  return quiet;
+}
+
 void World::finalize() {
-  while (!backend_.quiesce_round(*this)) {
+  while (!quiesce_round()) {
   }
   barrier();
 }
@@ -164,7 +179,6 @@ void World::finalize() {
 namespace {
 ShmemLamellaeGroup::Layout layout_from(const RuntimeConfig& cfg) {
   ShmemLamellaeGroup::Layout layout;
-  layout.internal_bytes = cfg.internal_heap_bytes;
   layout.symmetric_bytes = cfg.symmetric_heap_bytes;
   layout.onesided_bytes = cfg.onesided_heap_bytes;
   return layout;
@@ -214,52 +228,31 @@ void WorldGroup::emit_reports() {
   if (reports_emitted_) return;
   reports_emitted_ = true;
   if (telemetry_) telemetry_->stop();  // final tick before the reports
-  if (cfg_.metrics_mode == MetricsMode::kSummary) {
-    obs::print_summary(stderr, metrics_snapshots());
-  } else if (cfg_.metrics_mode == MetricsMode::kJson) {
-    obs::print_json(stderr, metrics_snapshots());
+  write_run_reports(cfg_, metrics_snapshots(), tracer_, 0);
+}
+
+void write_run_reports(const RuntimeConfig& cfg,
+                       const std::vector<obs::MetricsSnapshot>& snaps,
+                       const obs::TraceCollector& tracer, pe_id first_pe) {
+  if (cfg.metrics_mode == MetricsMode::kSummary) {
+    obs::print_summary(stderr, snaps);
+  } else if (cfg.metrics_mode == MetricsMode::kJson) {
+    obs::print_json(stderr, snaps);
   }
-  if (!cfg_.trace_file.empty()) {
-    if (cfg_.trace_per_pe) {
-      for (pe_id pe = 0; pe < worlds_.size(); ++pe) {
-        const std::string path = obs::per_pe_path(cfg_.trace_file, pe);
-        if (!tracer_.write_chrome_json(path, static_cast<std::int64_t>(pe))) {
-          std::fprintf(stderr, "lamellar: failed to write trace file %s\n",
-                       path.c_str());
-        }
-      }
-    } else if (!tracer_.write_chrome_json(cfg_.trace_file)) {
+  if (cfg.trace_file.empty()) return;
+  auto write = [&](const std::string& path, std::int64_t pe_filter) {
+    if (!tracer.write_chrome_json(path, pe_filter)) {
       std::fprintf(stderr, "lamellar: failed to write trace file %s\n",
-                   cfg_.trace_file.c_str());
+                   path.c_str());
     }
+  };
+  if (!cfg.trace_per_pe) {
+    write(cfg.trace_file, -1);
+    return;
   }
-}
-
-std::uint64_t WorldGroup::total_outstanding() const {
-  std::uint64_t sum = 0;
-  for (const auto& w : worlds_) {
-    sum += w->engine_->outstanding();
-    if (w->engine_->outgoing().has_pending()) ++sum;
-    if (!w->lamellae_->inbox_empty()) ++sum;
-    sum += w->pool_->pending();
+  for (pe_id pe = first_pe; pe < first_pe + snaps.size(); ++pe) {
+    write(obs::per_pe_path(cfg.trace_file, pe), static_cast<std::int64_t>(pe));
   }
-  return sum;
-}
-
-bool WorldGroup::quiesce_round(pe_id pe) {
-  World& w = *worlds_[pe];
-  w.engine_->wait_all();
-  w.barrier();
-  if (pe == 0) {
-    quiesce_decision_.store(total_outstanding() == 0,
-                            std::memory_order_release);
-  }
-  w.barrier();
-  return quiesce_decision_.load(std::memory_order_acquire);
-}
-
-bool WorldGroup::quiesce_round(World& world) {
-  return quiesce_round(world.my_pe());
 }
 
 std::shared_ptr<TeamShared> WorldGroup::rendezvous_team(

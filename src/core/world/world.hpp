@@ -44,17 +44,9 @@ class WorldBackend {
   [[nodiscard]] virtual const RuntimeConfig& config() const = 0;
   virtual obs::TraceCollector& tracer() = 0;
 
-  /// One round of the termination-detection loop run by World::finalize;
-  /// true when the whole world reached quiescence.
-  virtual bool quiesce_round(World& world) = 0;
-
   /// Collective team-creation rendezvous (see WorldGroup::rendezvous_team).
   virtual std::shared_ptr<TeamShared> rendezvous_team(
       pe_id pe, std::vector<pe_id> members) = 0;
-
-  /// True when sibling PEs live in other OS processes: team barriers must
-  /// then go through the lamellae instead of in-process structures.
-  [[nodiscard]] virtual bool cross_process() const { return false; }
 };
 
 /// One-sided memory-region lifetime registry: the origin PE tracks the
@@ -89,8 +81,8 @@ class OneSidedRegistry {
 class World {
  public:
   /// `group` may be null: it is the in-process WorldGroup when the backend
-  /// is one (kept for group-wide helpers like stress harness quiescing),
-  /// and null under process-separated backends.
+  /// is one (kept for tests that inspect the shared fabric), and null under
+  /// process-separated backends.
   World(WorldBackend& backend, std::unique_ptr<Lamellae> lamellae, pe_id pe,
         WorldGroup* group = nullptr);
   ~World() = default;
@@ -174,11 +166,6 @@ class World {
   /// Throws under process-separated backends (use backend() there).
   WorldGroup& group();
 
-  /// True when sibling PEs are other OS processes (LAMELLAR_BACKEND=mmap).
-  [[nodiscard]] bool cross_process() const {
-    return backend_.cross_process();
-  }
-
   /// This PE's time in ns (Lamellae::now()): modeled time under virtual
   /// time, real steady-clock time otherwise.
   [[nodiscard]] sim_nanos time_ns() { return lamellae_->now(); }
@@ -193,6 +180,16 @@ class World {
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const {
     return lamellae_->metrics().snapshot(lamellae_->my_pe());
   }
+
+  /// One collective round of termination detection, built from Lamellae
+  /// calls alone so both backends run it unchanged: wait_all, barrier, add
+  /// this PE's outstanding work into the count word in PE 0's reserved
+  /// page, barrier, read the word.  The word only grows and every PE reads
+  /// it between the same two barriers, so all PEs return the same answer:
+  /// true when no PE added anything this round (the word still reads the
+  /// previous round's total).  Every PE must call it the same number of
+  /// times.
+  bool quiesce_round();
 
   /// Paper-style implicit finalization: drain outstanding work and reach
   /// global quiescence.  Called by run_world after the SPMD body returns.
@@ -210,6 +207,8 @@ class World {
   std::unique_ptr<DarcManager> darcs_;
   std::unique_ptr<OneSidedRegistry> onesided_;
   Team world_team_;
+  /// The count word's value at this PE's last quiesce_round.
+  std::uint64_t quiesce_total_ = 0;
 };
 
 /// The in-process "cluster": shared state plus one World per PE.
@@ -242,16 +241,6 @@ class WorldGroup : public WorldBackend {
   /// early disables the automatic emission.
   void emit_reports();
 
-  /// Sum of outstanding AM requests over all PEs plus any queued buffers —
-  /// zero only at global quiescence (valid while all mains are between
-  /// barriers).
-  [[nodiscard]] std::uint64_t total_outstanding() const;
-
-  /// One round of the termination-detection loop run by World::finalize.
-  /// Returns true when the group reached quiescence.
-  bool quiesce_round(pe_id pe);
-  bool quiesce_round(World& world) override;
-
   /// Shared team registry: collective team creation rendezvous.
   std::shared_ptr<TeamShared> rendezvous_team(
       pe_id pe, std::vector<pe_id> members) override;
@@ -275,9 +264,14 @@ class WorldGroup : public WorldBackend {
   };
   std::unordered_map<std::uint64_t, PendingTeam> pending_teams_;
   std::vector<std::uint64_t> team_seq_;  // per-PE collective team counter
-
-  std::atomic<bool> quiesce_decision_{false};
 };
+
+/// The end-of-run reports of PEs [first_pe, first_pe + snaps.size()), for
+/// both backends: the stderr metrics report cfg.metrics_mode asks for, and
+/// the trace in cfg.trace_file, one file per PE when cfg.trace_per_pe.
+void write_run_reports(const RuntimeConfig& cfg,
+                       const std::vector<obs::MetricsSnapshot>& snaps,
+                       const obs::TraceCollector& tracer, pe_id first_pe);
 
 /// Run an SPMD function on `npes` in-process PEs: the equivalent of
 /// launching the paper's binary under slurm with `npes` processes.

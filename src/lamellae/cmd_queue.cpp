@@ -33,7 +33,6 @@ OutgoingQueues::OutgoingQueues(Lamellae& lamellae, std::size_t flush_threshold,
       &reg.counter("cmdq.buffers_allocated"),
       &reg.counter("cmdq.buffers_dropped"),
       &reg.histogram("am.stage_inject_flush_ns"),
-      &reg.histogram("cmdq.lane_age_ns"),
       &reg.gauge("cmdq.nonempty_lanes"),
       &reg.gauge("cmdq.live_lanes"),
   };
@@ -113,8 +112,7 @@ OutgoingQueues::RecordWriter OutgoingQueues::begin_record(pe_id dst) {
 }
 
 ByteBuffer OutgoingQueues::extract_locked(Lane& lane,
-                                          std::vector<TracedRecord>& traced,
-                                          sim_nanos now) {
+                                          std::vector<TracedRecord>& traced) {
   ByteBuffer out = std::move(lane.active);
   lane.active = ByteBuffer{};
   traced = std::move(lane.traced);
@@ -124,11 +122,6 @@ ByteBuffer OutgoingQueues::extract_locked(Lane& lane,
     lane.occupied.store(false, std::memory_order_release);
     nonempty_lanes_.fetch_sub(1, std::memory_order_relaxed);
     metrics_.nonempty_lanes->sub(1);
-    metrics_.lane_age->record(
-        now >= lane.first_staged ? now - lane.first_staged : 0);
-  } else {
-    // A lone record filled the buffer in one commit: zero lane residency.
-    metrics_.lane_age->record(0);
   }
   return out;
 }
@@ -144,12 +137,11 @@ void OutgoingQueues::commit_record(RecordWriter& w, const ProgressFn& progress) 
   if (lane.active.size() >= threshold) {
     // Swap the filled buffer out; the lane goes back to empty immediately
     // (the second half of the double buffer) so other writers continue.
-    to_send = extract_locked(lane, traced, lamellae_.now());
+    to_send = extract_locked(lane, traced);
     (record_bytes >= threshold ? metrics_.bypass_large
                                : metrics_.flush_threshold)
         ->inc();
   } else if (!was_counted && record_bytes > 0) {
-    lane.first_staged = lamellae_.now();
     lane.occupied.store(true, std::memory_order_release);
     nonempty_lanes_.fetch_add(1, std::memory_order_relaxed);
     metrics_.nonempty_lanes->add(1);
@@ -181,7 +173,7 @@ void OutgoingQueues::flush(pe_id dst, const ProgressFn& progress) {
       release_storage_locked(lane);
       return;
     }
-    to_send = extract_locked(lane, traced, lamellae_.now());
+    to_send = extract_locked(lane, traced);
   }
   if (!traced.empty()) seal_traced(to_send, traced);
   metrics_.flush_explicit->inc();

@@ -62,10 +62,6 @@ class OutgoingQueues {
     /// Sampled records currently staged in `active` (almost always empty;
     /// moved out together with the buffer when it departs).
     std::vector<TracedRecord> traced;
-    /// now() stamp of the empty->nonempty transition, written under
-    /// `mu`: the age of the oldest staged record, recorded into
-    /// cmdq.lane_age_ns at every buffer departure.
-    sim_nanos first_staged = 0;
     /// Relaxed occupancy hint, written only under `mu`: lets flush_all skip
     /// provably-empty lanes without acquiring their locks (O(live) instead
     /// of O(P) mutex round-trips per quiesce).
@@ -156,7 +152,6 @@ class OutgoingQueues {
     obs::Counter* buffers_allocated;
     obs::Counter* buffers_dropped;       // recycles a full pool refused
     obs::Histogram* stage_inject_flush;  // am.stage_inject_flush_ns
-    obs::Histogram* lane_age;            // cmdq.lane_age_ns
     obs::Gauge* nonempty_lanes;          // cmdq.nonempty_lanes
     obs::Gauge* live_lanes;              // cmdq.live_lanes
   };
@@ -174,12 +169,10 @@ class OutgoingQueues {
 
   void transmit(pe_id dst, ByteBuffer buf, const ProgressFn& progress);
 
-  /// Move a nonempty lane's buffer out under its lock: clears occupancy,
-  /// maintains the nonempty/live gauges, and records the lane age (now -
-  /// first_staged) into cmdq.lane_age_ns.  Returns the departing buffer's
+  /// Move a nonempty lane's buffer out under its lock: clears occupancy and
+  /// maintains the nonempty/live gauges.  Returns the departing buffer's
   /// traced records through `traced`.
-  ByteBuffer extract_locked(Lane& lane, std::vector<TracedRecord>& traced,
-                            sim_nanos now);
+  ByteBuffer extract_locked(Lane& lane, std::vector<TracedRecord>& traced);
 
   /// Stamp the departure time into every traced record of a departing
   /// buffer, record the lane-residency latency, and emit flow steps.

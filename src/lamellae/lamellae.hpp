@@ -23,6 +23,15 @@
 
 namespace lamellar {
 
+/// The runtime's own page at the base of every PE's arena: both backends'
+/// symmetric and one-sided heaps start above it, so no user allocation
+/// ever aliases a runtime word.
+inline constexpr std::size_t kReservedArenaBytes = 4096;
+
+/// Offset in PE 0's reserved page of the count word that
+/// World::quiesce_round adds every PE's outstanding work into.
+inline constexpr std::size_t kQuiesceCountOffset = 0;
+
 class Lamellae {
  public:
   virtual ~Lamellae() = default;
@@ -109,7 +118,7 @@ class Lamellae {
   virtual void barrier(SenseBarrier& team, std::size_t rank) = 0;
 
   /// This PE's time in nanoseconds, the one time source every stamp reads
-  /// (trace events, stage histograms, lane ages): the PE's virtual clock
+  /// (trace events, stage histograms): the PE's virtual clock
   /// while the performance model charges it, steady-clock nanoseconds
   /// otherwise.
   [[nodiscard]] virtual sim_nanos now() const { return real_now_ns(); }

@@ -102,7 +102,7 @@ MmapSegment MmapSegment::create(std::size_t num_pes,
   // headroom, or a flushed lane could never be sent even on an idle ring.
   const std::size_t ring_bytes = align_up(
       std::max(cfg.mp_ring_bytes, 2 * cfg.agg_threshold_bytes + kPage), kPage);
-  const std::size_t arena_bytes = cfg.internal_heap_bytes +
+  const std::size_t arena_bytes = kReservedArenaBytes +
                                   cfg.symmetric_heap_bytes +
                                   cfg.onesided_heap_bytes;
   const std::size_t arena_stride = align_up(arena_bytes, kPage);
@@ -122,7 +122,7 @@ MmapSegment MmapSegment::create(std::size_t num_pes,
   std::string name;
   int fd = -1;
   for (int attempt = 0; attempt < 16; ++attempt) {
-    name = "/" + std::string(kPrefix) + std::to_string(getpid()) + "." +
+    name = std::string("/") + kPrefix + std::to_string(getpid()) + "." +
            std::to_string(seq.fetch_add(1)) + "." + std::to_string(rd() & 0xFFFFFF);
     fd = shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
     if (fd >= 0) break;
@@ -161,7 +161,6 @@ MmapSegment MmapSegment::create(std::size_t num_pes,
   ctl->arena_stride = arena_stride;
   ctl->arena_bytes = arena_bytes;
   ctl->total_bytes = total;
-  ctl->internal_bytes = cfg.internal_heap_bytes;
   ctl->symmetric_bytes = cfg.symmetric_heap_bytes;
   ctl->onesided_bytes = cfg.onesided_heap_bytes;
   for (std::size_t p = 0; p < num_pes; ++p) {
@@ -256,11 +255,11 @@ MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
     throw Error("MmapLamellae: pe " + std::to_string(pe_) + " out of range");
   }
 
-  // Heap replicas over this PE's arena: [internal | symmetric | onesided].
-  symmetric_heap_ = std::make_unique<OffsetHeap>(ctl_->internal_bytes,
+  // Heap replicas over this PE's arena: [reserved | symmetric | onesided].
+  symmetric_heap_ = std::make_unique<OffsetHeap>(kReservedArenaBytes,
                                                  ctl_->symmetric_bytes);
   onesided_heap_ = std::make_unique<OffsetHeap>(
-      ctl_->internal_bytes + ctl_->symmetric_bytes, ctl_->onesided_bytes);
+      kReservedArenaBytes + ctl_->symmetric_bytes, ctl_->onesided_bytes);
   buffer_pool_ = std::make_unique<BufferPool>(lane_pool_bound(num_pes_));
 
   send_mu_.reserve(num_pes_);
@@ -268,15 +267,15 @@ MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
     send_mu_.push_back(std::make_unique<std::mutex>());
   }
 
-  puts_ = &registry_.counter("fab.puts");
-  gets_ = &registry_.counter("fab.gets");
-  atomics_ = &registry_.counter("fab.atomics");
-  bytes_put_ = &registry_.counter("fab.bytes_put");
-  bytes_get_ = &registry_.counter("fab.bytes_get");
-  msgs_sent_ = &registry_.counter("fab.msgs_sent");
-  msgs_polled_ = &registry_.counter("fab.msgs_polled");
-  bytes_sent_ = &registry_.counter("fab.bytes_sent");
-  barriers_ = &registry_.counter("fab.barriers");
+  puts_ = &registry_.counter("fabric.puts");
+  gets_ = &registry_.counter("fabric.gets");
+  atomics_ = &registry_.counter("fabric.atomics");
+  bytes_put_ = &registry_.counter("fabric.bytes_put");
+  bytes_get_ = &registry_.counter("fabric.bytes_get");
+  msgs_sent_ = &registry_.counter("fabric.msgs_sent");
+  msgs_polled_ = &registry_.counter("fabric.msgs_polled");
+  bytes_sent_ = &registry_.counter("fabric.bytes_sent");
+  barriers_ = &registry_.counter("fabric.barriers");
   backpressure_waits_ = &registry_.counter("mp.backpressure_waits");
   ring_wakes_ = &registry_.counter("mp.ring_wakes");
   barrier_futex_waits_ = &registry_.counter("mp.barrier_futex_waits");

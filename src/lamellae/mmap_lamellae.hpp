@@ -1,14 +1,15 @@
 // MmapLamellae: the process-separated Lamellae (DESIGN.md §13).
 //
 // PEs are forked OS processes sharing one mmap'd /dev/shm segment.  The
-// segment holds, in order: a control page (barrier + lifecycle + quiesce
-// state), one SPSC byte ring per (dst, src) PE pair (the cross-process
-// command-queue transport, with futex-based backpressure wakeup), and one
-// RDMA arena per PE.  Every process maps the whole segment, so put/get are
-// memcpys into a peer's arena and remote atomics are std::atomic_ref on
-// mapped peer words — the same operations ShmemLamellae performs in-process,
-// now across genuine address-space boundaries.  Everything above the
-// Lamellae interface (AM engine, aggregation lanes, arrays, Darc) runs
+// segment holds, in order: a control page (barrier + lifecycle state), one
+// SPSC byte ring per (dst, src) PE pair (the cross-process command-queue
+// transport, with futex-based backpressure wakeup), and one RDMA arena per
+// PE, [reserved page | symmetric | one-sided] as in-process.  Every process
+// maps the whole segment, so put/get are memcpys into a peer's arena and
+// remote atomics are std::atomic_ref on mapped peer words — the same
+// operations ShmemLamellae performs in-process, now across genuine
+// address-space boundaries.  Everything above the Lamellae interface (AM
+// engine, aggregation lanes, arrays, Darc, termination detection) runs
 // unmodified.
 //
 // Because this is the first backend where a peer can die independently,
@@ -40,7 +41,7 @@ namespace lamellar {
 namespace mpshm {
 
 inline constexpr std::uint64_t kMagic = 0x4c414d4d50534831ull;  // "LAMMPSH1"
-inline constexpr std::uint32_t kVersion = 1;
+inline constexpr std::uint32_t kVersion = 2;
 
 /// Per-PE lifecycle states in MpPeSlot::state.
 enum PeState : std::uint32_t {
@@ -56,8 +57,6 @@ struct alignas(64) MpPeSlot {
   /// Barrier generation this PE last arrived at (gen + 1); waiters use it to
   /// name stragglers in timeout diagnostics.
   std::atomic<std::uint32_t> bar_seen{0};
-  /// Published local outstanding-work count for the quiesce protocol.
-  std::atomic<std::uint64_t> outstanding{0};
 };
 
 /// One SPSC byte ring: a single producer process (src) appends
@@ -86,8 +85,8 @@ struct MpControl {
   std::uint64_t arena_stride = 0;
   std::uint64_t arena_bytes = 0;
   std::uint64_t total_bytes = 0;
-  // Heap split within each arena (mirrors ShmemLamellaeGroup::Layout).
-  std::uint64_t internal_bytes = 0;
+  // Heap split above each arena's reserved page (mirrors
+  // ShmemLamellaeGroup::Layout).
   std::uint64_t symmetric_bytes = 0;
   std::uint64_t onesided_bytes = 0;
   // Central barrier: bar_word packs (generation << 32) | arrived; bar_gen
@@ -96,8 +95,6 @@ struct MpControl {
   alignas(64) std::atomic<std::uint32_t> bar_gen{0};
   std::atomic<std::uint32_t> bar_abort{0};
   std::atomic<std::uint32_t> bar_abort_pe{0};
-  /// Quiesce decision word written by PE 0 between barrier rounds.
-  alignas(64) std::atomic<std::uint32_t> quiesce_decision{0};
 };
 
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
@@ -202,14 +199,6 @@ class MmapLamellae final : public Lamellae {
   [[nodiscard]] bool remote_to(pe_id) const override { return false; }
   [[nodiscard]] std::size_t pes_per_node() const override { return num_pes_; }
 
-  // ---- quiesce protocol plumbing (MpProcessRuntime) ----
-  std::atomic<std::uint64_t>& quiesce_slot(pe_id pe) {
-    return slot(pe).outstanding;
-  }
-  std::atomic<std::uint32_t>& quiesce_decision() {
-    return ctl_->quiesce_decision;
-  }
-
   /// Clean detach: publish kExited so peers stop expecting this PE.
   void mark_exited();
 
@@ -265,8 +254,8 @@ class MmapLamellae final : public Lamellae {
   mutable std::mutex poll_mu_;
   pe_id poll_cursor_ = 0;
 
-  // Resolved metric handles (fab.* for the transport, mp.* for
-  // backend-specific events).
+  // Resolved metric handles (fabric.* for the transport, named as
+  // ShmemFabric names them; mp.* for backend-specific events).
   obs::Counter* puts_;
   obs::Counter* gets_;
   obs::Counter* atomics_;

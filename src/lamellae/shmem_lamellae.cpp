@@ -8,10 +8,10 @@ ShmemLamellaeGroup::ShmemLamellaeGroup(std::size_t num_pes, Layout layout,
     : layout_(layout),
       fabric_(num_pes, layout.total(), params, mapping, virtual_time,
               metrics_enabled),
-      symmetric_heap_(layout.internal_bytes, layout.symmetric_bytes),
+      symmetric_heap_(kReservedArenaBytes, layout.symmetric_bytes),
       alloc_seq_(num_pes) {
   const std::size_t onesided_base =
-      layout.internal_bytes + layout.symmetric_bytes;
+      kReservedArenaBytes + layout.symmetric_bytes;
   onesided_heaps_.reserve(num_pes);
   buffer_pools_.reserve(num_pes);
   for (std::size_t i = 0; i < num_pes; ++i) {

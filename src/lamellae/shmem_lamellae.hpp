@@ -3,7 +3,7 @@
 // Plays the role of both the paper's ROFI Lamellae (when given a PeMapping
 // that spreads PEs across modeled nodes) and its Shmem Lamellae (all PEs on
 // one node).  All PEs share one ShmemFabric; each PE's arena is split into
-// [internal | symmetric heap | one-sided heap], mirroring the paper's
+// [reserved page | symmetric heap | one-sided heap], mirroring the paper's
 // layout: a runtime-reserved region plus a dynamic heap.
 #pragma once
 
@@ -26,11 +26,10 @@ class ShmemLamellae;
 class ShmemLamellaeGroup {
  public:
   struct Layout {
-    std::size_t internal_bytes = 1 * 1024 * 1024;
     std::size_t symmetric_bytes = 64 * 1024 * 1024;
     std::size_t onesided_bytes = 32 * 1024 * 1024;
     [[nodiscard]] std::size_t total() const {
-      return internal_bytes + symmetric_bytes + onesided_bytes;
+      return kReservedArenaBytes + symmetric_bytes + onesided_bytes;
     }
   };
 

@@ -38,7 +38,6 @@ namespace lamellar::mptest {
 inline RuntimeConfig small_config() {
   RuntimeConfig cfg = RuntimeConfig::from_env();
   cfg.backend = BackendKind::kMmap;
-  cfg.internal_heap_bytes = std::size_t{1} << 20;
   cfg.symmetric_heap_bytes = std::size_t{8} << 20;
   cfg.onesided_heap_bytes = std::size_t{4} << 20;
   cfg.agg_threshold_bytes = 64 * 1024;

@@ -516,7 +516,7 @@ void soak_main(World& world, const Options& opt) {
     ++round;
 
     // Global quiescence, then invariant checks on every PE.
-    while (!world.group().quiesce_round(me)) {
+    while (!world.quiesce_round()) {
     }
     check_quiesced_invariants(world, round, heap_used_baseline,
                               heap_blocks_baseline);

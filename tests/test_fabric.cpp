@@ -108,7 +108,7 @@ TEST(Fabric, RemoteAtomics) {
 TEST(Fabric, MessagingFifoPerDestination) {
   ShmemFabric fabric(2, 256);
   for (int i = 0; i < 5; ++i) {
-    ByteBuffer buf;
+    ByteBuffer buf(sizeof(int));  // reserved: see serialize_to_buffer
     buf.write_pod<int>(i);
     ASSERT_TRUE(fabric.try_send(0, 1, buf));
   }

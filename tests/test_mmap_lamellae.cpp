@@ -21,6 +21,7 @@
 #include <fstream>
 #include <numeric>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "core/memregion/onesided_region.hpp"
@@ -32,6 +33,7 @@
 namespace {
 
 using namespace lamellar;
+using namespace std::chrono_literals;
 
 // Per-PROCESS counter: under the mmap backend each forked PE has its own
 // copy, so it counts AMs executed on this PE only.
@@ -130,6 +132,10 @@ MP_TEST(MpSmoke, AmWithReturn, 2) {
   auto fut = world.exec_am_pe(1 - world.my_pe(), MpAddAm{20, 22});
   MP_CHECK_EQ(world.block_on(std::move(fut)), 42u);
   world.barrier();
+  // The transport counters carry the in-process backend's names.
+  const obs::MetricsSnapshot s = world.metrics_snapshot();
+  MP_CHECK(s.counter("fabric.msgs_sent") > 0);
+  MP_CHECK(s.counter("fabric.barriers") > 0);
 }
 
 MP_TEST(MpSmoke, ExecAmAllReturnsPerPeResults, 4) {
@@ -219,6 +225,14 @@ MP_TEST(MpSmoke, DarcTravelsInAms, 4) {
 // ---- memory regions ----
 
 MP_TEST(MpSmoke, SharedRegionPutGet, 4) {
+  // Both heaps start above the runtime's reserved page.
+  const std::size_t sym = world.lamellae().alloc_symmetric(64, 8);
+  const std::size_t one = world.lamellae().alloc_onesided(64, 8);
+  MP_CHECK(sym >= kReservedArenaBytes);
+  MP_CHECK(one >= kReservedArenaBytes);
+  world.lamellae().free_onesided(one);
+  world.lamellae().free_symmetric(sym);
+
   auto region = SharedMemoryRegion<std::uint64_t>::create(world, 16);
   auto local = region.unsafe_local_slice();
   std::fill(local.begin(), local.end(), world.my_pe());
@@ -245,6 +259,65 @@ MP_TEST(MpSmoke, OneSidedRegionThroughAm, 2) {
     for (auto v : region.unsafe_local_slice()) MP_CHECK_EQ(v, 7u);
   }
   world.barrier();
+}
+
+// ---- termination detection across processes ----
+
+// Process-local flags: only PE 1's process uses them.
+std::atomic<bool> g_hold_started{false};
+std::atomic<bool> g_hold_released{false};
+std::atomic<bool> g_hold_timed_out{false};
+
+bool wait_for_flag(const std::atomic<bool>& flag) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+void hold_until_released() {
+  g_hold_started.store(true);
+  g_hold_timed_out.store(!wait_for_flag(g_hold_released));
+}
+
+RuntimeConfig quiesce_config() {
+  RuntimeConfig cfg = mptest::small_config();
+  cfg.threads_per_pe = 1;
+  cfg.mp_wait_timeout_ms = 15'000;  // a hang fails the test
+  return cfg;
+}
+
+// World::quiesce_round counts a started pool task as outstanding work.  PE
+// 1's only worker holds one through the first round, so every PE's first
+// round must read "not quiet"; after the release, every PE must read
+// "quiet" after the same number of rounds.
+MP_TEST(MpSmoke, QuiesceWaitsForHeldPoolTask, 3, quiesce_config()) {
+  constexpr std::size_t kMaxRounds = 10'000;
+  const pe_id me = world.my_pe();
+  Lamellae& lam = world.lamellae();
+  const std::size_t counts = lam.alloc_symmetric(8 * world.num_pes(), 8);
+  if (me == 1) {
+    world.pool().spawn(hold_until_released);
+    MP_CHECK(wait_for_flag(g_hold_started));
+  }
+  world.barrier();
+  const bool first_quiet = world.quiesce_round();
+  if (me == 1) g_hold_released.store(true);
+  // Every PE reads the same word, so the cap keeps them in lockstep.
+  std::size_t n = 1;
+  while (!world.quiesce_round() && n < kMaxRounds) ++n;
+  MP_CHECK(!first_quiet);
+  MP_CHECK(!g_hold_timed_out.load());
+  MP_CHECK(n < kMaxRounds);
+  lam.atomic_store_u64(0, counts + 8 * me, n);
+  world.barrier();
+  for (pe_id p = 0; p < world.num_pes(); ++p) {
+    MP_CHECK_EQ(lam.atomic_load_u64(0, counts + 8 * p), std::uint64_t{n});
+  }
+  world.barrier();
+  lam.free_symmetric(counts);
 }
 
 // ---- teams: full-world works, sub-world rejected ----

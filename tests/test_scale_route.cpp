@@ -169,7 +169,6 @@ RuntimeConfig small_cfg(RouteMode route) {
   RuntimeConfig cfg;
   cfg.threads_per_pe = 1;
   cfg.agg_threshold_bytes = 1024;  // small buffers -> frequent flushes
-  cfg.internal_heap_bytes = 64 * 1024;
   cfg.symmetric_heap_bytes = 64 * 1024;
   cfg.onesided_heap_bytes = 64 * 1024;
   cfg.metrics_mode = MetricsMode::kQuiet;

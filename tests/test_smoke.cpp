@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <numeric>
+#include <thread>
 
 #include "core/memregion/onesided_region.hpp"
 #include "core/memregion/shared_region.hpp"
@@ -13,6 +16,7 @@
 namespace {
 
 using namespace lamellar;
+using namespace std::chrono_literals;
 
 std::atomic<int> g_hello_count{0};
 
@@ -138,6 +142,14 @@ TEST(Smoke, DarcTravelsInAms) {
 
 TEST(Smoke, SharedRegionPutGet) {
   run_world(4, [](World& world) {
+    // Both heaps start above the runtime's reserved page.
+    const std::size_t sym = world.lamellae().alloc_symmetric(64, 8);
+    const std::size_t one = world.lamellae().alloc_onesided(64, 8);
+    EXPECT_GE(sym, kReservedArenaBytes);
+    EXPECT_GE(one, kReservedArenaBytes);
+    world.lamellae().free_onesided(one);
+    world.lamellae().free_symmetric(sym);
+
     auto region = SharedMemoryRegion<std::uint64_t>::create(world, 16);
     auto local = region.unsafe_local_slice();
     std::fill(local.begin(), local.end(), world.my_pe());
@@ -230,6 +242,65 @@ TEST(MemRegion, BoundsDoNotWrap) {
     EXPECT_THROW(OneSidedMemoryRegion<std::uint64_t>::create(world, huge),
                  BoundsError);
   });
+}
+
+// World::quiesce_round counts a started pool task as outstanding work.  PE
+// 1's only worker holds one through the first round, so every PE's first
+// round must read "not quiet"; after the release, every PE must read
+// "quiet" after the same number of rounds.  The hold and the round count
+// are bounded, so a lost count fails the test instead of hanging it.
+std::atomic<bool> g_hold_started{false};
+std::atomic<bool> g_hold_released{false};
+std::atomic<bool> g_hold_timed_out{false};
+
+bool wait_for_flag(const std::atomic<bool>& flag) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+void hold_until_released() {
+  g_hold_started.store(true);
+  g_hold_timed_out.store(!wait_for_flag(g_hold_released));
+}
+
+TEST(Smoke, QuiesceWaitsForHeldPoolTask) {
+  constexpr std::size_t kPes = 3;
+  constexpr std::size_t kMaxRounds = 10'000;
+  g_hold_started.store(false);
+  g_hold_released.store(false);
+  bool started = false;
+  std::array<bool, kPes> first_quiet{};
+  std::array<std::size_t, kPes> rounds{};
+  RuntimeConfig cfg;
+  cfg.threads_per_pe = 1;
+  run_world(
+      kPes,
+      [&](World& w) {
+        const pe_id me = w.my_pe();
+        if (me == 1) {
+          w.pool().spawn(hold_until_released);
+          started = wait_for_flag(g_hold_started);
+        }
+        w.barrier();
+        first_quiet[me] = w.quiesce_round();
+        if (me == 1) g_hold_released.store(true);
+        // Every PE reads the same word, so the cap keeps them in lockstep.
+        std::size_t n = 1;
+        while (!w.quiesce_round() && n < kMaxRounds) ++n;
+        rounds[me] = n;
+      },
+      cfg);
+  ASSERT_TRUE(started);
+  EXPECT_FALSE(g_hold_timed_out.load());
+  for (pe_id pe = 0; pe < kPes; ++pe) {
+    EXPECT_FALSE(first_quiet[pe]) << "PE " << pe;
+    EXPECT_LT(rounds[pe], kMaxRounds) << "PE " << pe;
+    EXPECT_EQ(rounds[pe], rounds[0]) << "PE " << pe;
+  }
 }
 
 TEST(Smoke, VirtualTimeAdvances) {
