@@ -33,7 +33,6 @@ constexpr const char* kKnownEnvVars[] = {
     "LAMELLAR_ONESIDED_HEAP",
     "LAMELLAR_PARK_US",
     "LAMELLAR_ROUTE",
-    "LAMELLAR_ROUTE_CUTOFF",
     "LAMELLAR_SEED",
     "LAMELLAR_SYM_HEAP",
     "LAMELLAR_THREADS",
@@ -175,8 +174,6 @@ RuntimeConfig RuntimeConfig::from_env() {
       env_u64("LAMELLAR_METRICS_INTERVAL_MS", cfg.metrics_interval_ms);
   cfg.metrics_file = env_str("LAMELLAR_METRICS_FILE", cfg.metrics_file);
   cfg.route = parse_route_mode(env_str("LAMELLAR_ROUTE", "direct"));
-  cfg.route_direct_cutoff_bytes =
-      env_size("LAMELLAR_ROUTE_CUTOFF", cfg.route_direct_cutoff_bytes);
   cfg.park_timeout_us = env_u64("LAMELLAR_PARK_US", cfg.park_timeout_us);
   cfg.backend = parse_backend_kind(env_str("LAMELLAR_BACKEND", "shmem"));
   cfg.mp_ring_bytes = env_size("LAMELLAR_MP_RING", cfg.mp_ring_bytes);

@@ -107,11 +107,6 @@ struct RuntimeConfig {
   /// direct).  See RouteMode.
   RouteMode route = RouteMode::kDirect;
 
-  /// 2-hop only: serialized records at or above this many bytes skip the
-  /// relay and go direct (the relay copy would dominate).  0 means auto:
-  /// agg_threshold_bytes / 8 (env: LAMELLAR_ROUTE_CUTOFF).
-  std::size_t route_direct_cutoff_bytes = 0;
-
   /// Worker park timeout in microseconds (env: LAMELLAR_PARK_US; default
   /// 200).  Idle workers wake this often to run the progress hook; raise it
   /// for massively oversubscribed scale runs (thousands of PEs on a few

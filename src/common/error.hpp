@@ -50,4 +50,12 @@ class DeserializeError : public Error {
 [[noreturn]] void throw_bounds(const char* what, std::size_t index,
                                std::size_t len);
 
+[[noreturn]] void throw_bad_pe(const char* what, std::size_t pe,
+                               std::size_t num_pes);
+
+/// Throws a BoundsError naming `pe` unless it is one of `num_pes` PEs.
+inline void check_pe(const char* what, std::size_t pe, std::size_t num_pes) {
+  if (pe >= num_pes) throw_bad_pe(what, pe, num_pes);
+}
+
 }  // namespace lamellar

@@ -38,9 +38,7 @@ AmEngine::AmEngine(Lamellae& lamellae, ThreadPool& pool,
   grid_ = RouteGrid::make(
       lamellae.num_pes(),
       PeMapping{std::max<std::size_t>(1, lamellae.pes_per_node())});
-  route_cutoff_ = cfg.route_direct_cutoff_bytes != 0
-                      ? cfg.route_direct_cutoff_bytes
-                      : std::max<std::size_t>(1, cfg.agg_threshold_bytes / 8);
+  route_cutoff_ = std::max<std::size_t>(1, cfg.agg_threshold_bytes / 8);
   obs::MetricsRegistry& reg = lamellae.metrics();
   am_sent_remote_ = &reg.counter("am.sent_remote");
   am_sent_local_ = &reg.counter("am.sent_local");

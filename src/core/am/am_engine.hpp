@@ -136,6 +136,8 @@ class AmEngine {
 
   /// Core send: invoke `on_result` with exec()'s result once the AM has
   /// completed (possibly remotely).  `on_result` runs on a runtime thread.
+  /// A `dst` outside the world throws BoundsError before anything is
+  /// counted, so wait_all() still returns.
   ///
   /// `launched_` is bumped relaxed: only its value matters.  `completed_`
   /// is bumped with release after `on_result` has run, once per reply or
@@ -146,6 +148,7 @@ class AmEngine {
   template <ActiveMessageType Am, typename Fn>
   void send_cb(pe_id dst, Am am, Fn on_result) {
     using R = am_return_t<Am>;
+    check_pe("AM send", dst, num_pes());
     launched_.fetch_add(1, std::memory_order_relaxed);
     if (dst == my_pe()) {
       // Local bypass: execute as a pool task without serialization.
@@ -217,6 +220,7 @@ class AmEngine {
   /// replies anyway, and the spawned task should count as local work).
   template <ActiveMessageType Am>
   void send_forget(pe_id dst, Am am) {
+    check_pe("AM send", dst, num_pes());
     if (dst == my_pe()) {
       send_cb(dst, std::move(am), [](am_return_t<Am>) {});
       return;

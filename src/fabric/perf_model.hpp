@@ -10,8 +10,7 @@
 //  * a bandwidth drop between 128 B and 256 B caused by the libfabric verbs
 //    provider switching from fi_inject_write to fi_write;
 //  * measurable per-message runtime overhead for safe abstractions
-//    (copy into Vec, atomic stores, lock acquisition, AM dispatch);
-//  * runtime aggregation below the 100 KB threshold.
+//    (copy into Vec, atomic stores, lock acquisition, AM dispatch).
 #pragma once
 
 #include <cstddef>
@@ -37,13 +36,9 @@ struct PerfParams {
   double rwlock_acquire_ns = 140.0;    ///< LocalLockArray per message
   double serialize_byte_ns = 0.055;    ///< serde cost per byte
   double am_dispatch_ns = 420.0;       ///< spawn+deserialize+complete one AM
-  double am_header_bytes = 32.0;       ///< per-AM envelope on the wire
   double agg_flush_overhead_ns = 700;  ///< close+hand off one agg buffer
   double task_spawn_ns = 95.0;         ///< enqueue on the work-stealing pool
   double barrier_ns = 4'000.0;         ///< world barrier (2 PEs)
-
-  // ---- runtime policy mirrored here for cost purposes ----
-  std::size_t agg_threshold_bytes = 100 * 1024;
 
   /// Per-message host overhead for an RDMA post of `bytes`.
   [[nodiscard]] double rdma_overhead_ns(std::size_t bytes) const {

@@ -2,12 +2,22 @@
 
 #include <sys/mman.h>
 
-#include <cstring>
 #include <new>
 
 #include "common/error.hpp"
 
 namespace lamellar {
+
+FabricCounters::FabricCounters(obs::MetricsRegistry& reg)
+    : puts(&reg.counter("fabric.puts")),
+      gets(&reg.counter("fabric.gets")),
+      atomics(&reg.counter("fabric.atomics")),
+      bytes_put(&reg.counter("fabric.bytes_put")),
+      bytes_get(&reg.counter("fabric.bytes_get")),
+      msgs_sent(&reg.counter("fabric.msgs_sent")),
+      msgs_polled(&reg.counter("fabric.msgs_polled")),
+      bytes_sent(&reg.counter("fabric.bytes_sent")),
+      barriers(&reg.counter("fabric.barriers")) {}
 
 ShmemFabric::Arena::Arena(std::size_t bytes) : bytes_(bytes) {
   if (bytes == 0) return;
@@ -33,33 +43,13 @@ ShmemFabric::ShmemFabric(std::size_t num_pes, std::size_t arena_bytes,
   arenas_.reserve(num_pes);
   inboxes_.reserve(num_pes);
   fab_metrics_.reserve(num_pes);
+  vtime_charged_ns_.reserve(num_pes);
   for (std::size_t i = 0; i < num_pes; ++i) {
     arenas_.emplace_back(arena_bytes);
     inboxes_.push_back(std::make_unique<Inbox>());
-    registries_.emplace_back(metrics_enabled);
-    obs::MetricsRegistry& reg = registries_.back();
-    fab_metrics_.push_back(FabricCounters{
-        &reg.counter("fabric.puts"),
-        &reg.counter("fabric.gets"),
-        &reg.counter("fabric.atomics"),
-        &reg.counter("fabric.bytes_put"),
-        &reg.counter("fabric.bytes_get"),
-        &reg.counter("fabric.msgs_sent"),
-        &reg.counter("fabric.msgs_polled"),
-        &reg.counter("fabric.bytes_sent"),
-        &reg.counter("fabric.barriers"),
-        &reg.counter("fabric.vtime_charged_ns"),
-    });
-  }
-}
-
-void ShmemFabric::check_bounds(pe_id pe, std::size_t offset,
-                               std::size_t len) const {
-  if (pe >= arenas_.size()) {
-    throw BoundsError("fabric: PE id out of range");
-  }
-  if (offset + len > arena_bytes_ || offset + len < offset) {
-    throw_bounds("fabric arena access", offset + len, arena_bytes_);
+    obs::MetricsRegistry& reg = registries_.emplace_back(metrics_enabled);
+    fab_metrics_.emplace_back(reg);
+    vtime_charged_ns_.push_back(&reg.counter("fabric.vtime_charged_ns"));
   }
 }
 
@@ -75,90 +65,8 @@ double ShmemFabric::transfer_cost_ns(pe_id a, pe_id b,
   return params_.rdma_cost_ns(bytes);
 }
 
-void ShmemFabric::put(pe_id src, pe_id dst, std::size_t dst_offset,
-                      std::span<const std::byte> data) {
-  check_bounds(dst, dst_offset, data.size());
-  std::memcpy(arenas_[dst].base() + dst_offset, data.data(), data.size());
-  charge(src, transfer_cost_ns(src, dst, data.size()));
-  fab_metrics_[src].puts->inc();
-  fab_metrics_[src].bytes_put->inc(data.size());
-}
-
-void ShmemFabric::get(pe_id dst, pe_id src_remote, std::size_t remote_offset,
-                      std::span<std::byte> out) {
-  check_bounds(src_remote, remote_offset, out.size());
-  std::memcpy(out.data(), arenas_[src_remote].base() + remote_offset,
-              out.size());
-  charge(dst, transfer_cost_ns(dst, src_remote, out.size()));
-  fab_metrics_[dst].gets->inc();
-  fab_metrics_[dst].bytes_get->inc(out.size());
-}
-
-void ShmemFabric::get_pipelined(pe_id dst, pe_id src_remote,
-                                std::size_t remote_offset,
-                                std::span<std::byte> out) {
-  check_bounds(src_remote, remote_offset, out.size());
-  std::memcpy(out.data(), arenas_[src_remote].base() + remote_offset,
-              out.size());
-  if (dst == src_remote || mapping_.same_node(dst, src_remote)) {
-    charge(dst, params_.memcpy_ns(out.size()));
-  } else {
-    charge(dst, params_.pipelined_cost_ns(out.size()));
-  }
-  fab_metrics_[dst].gets->inc();
-  fab_metrics_[dst].bytes_get->inc(out.size());
-}
-
-namespace {
-// Arena words used for atomics are 8-byte aligned by the allocators.
-std::atomic_ref<std::uint64_t> word_at(std::byte* base, std::size_t offset) {
-  return std::atomic_ref<std::uint64_t>(
-      *reinterpret_cast<std::uint64_t*>(base + offset));
-}
-}  // namespace
-
-std::uint64_t ShmemFabric::atomic_fetch_add_u64(pe_id src, pe_id dst,
-                                                std::size_t offset,
-                                                std::uint64_t v) {
-  check_bounds(dst, offset, sizeof(std::uint64_t));
-  charge(src, src == dst ? params_.atomic_store_ns
-                         : transfer_cost_ns(src, dst, sizeof(std::uint64_t)));
-  fab_metrics_[src].atomics->inc();
-  return word_at(arenas_[dst].base(), offset)
-      .fetch_add(v, std::memory_order_acq_rel);
-}
-
-std::uint64_t ShmemFabric::atomic_load_u64(pe_id src, pe_id dst,
-                                           std::size_t offset) {
-  check_bounds(dst, offset, sizeof(std::uint64_t));
-  charge(src, src == dst ? params_.atomic_store_ns
-                         : transfer_cost_ns(src, dst, sizeof(std::uint64_t)));
-  fab_metrics_[src].atomics->inc();
-  return word_at(arenas_[dst].base(), offset).load(std::memory_order_acquire);
-}
-
-void ShmemFabric::atomic_store_u64(pe_id src, pe_id dst, std::size_t offset,
-                                   std::uint64_t v) {
-  check_bounds(dst, offset, sizeof(std::uint64_t));
-  charge(src, src == dst ? params_.atomic_store_ns
-                         : transfer_cost_ns(src, dst, sizeof(std::uint64_t)));
-  fab_metrics_[src].atomics->inc();
-  word_at(arenas_[dst].base(), offset).store(v, std::memory_order_release);
-}
-
-bool ShmemFabric::atomic_cas_u64(pe_id src, pe_id dst, std::size_t offset,
-                                 std::uint64_t& expected,
-                                 std::uint64_t desired) {
-  check_bounds(dst, offset, sizeof(std::uint64_t));
-  charge(src, src == dst ? params_.atomic_store_ns
-                         : transfer_cost_ns(src, dst, sizeof(std::uint64_t)));
-  fab_metrics_[src].atomics->inc();
-  return word_at(arenas_[dst].base(), offset)
-      .compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
-}
-
 bool ShmemFabric::try_send(pe_id src, pe_id dst, ByteBuffer& payload) {
-  if (dst >= inboxes_.size()) throw BoundsError("fabric: send to bad PE");
+  check_pe("fabric send", dst, inboxes_.size());
   const std::size_t bytes = payload.size();
   Inbox& inbox = *inboxes_[dst];
   std::lock_guard lock(inbox.mu);

@@ -2,12 +2,12 @@
 // ROFI/libfabric (paper Sec. III-A).
 //
 // Every PE owns a byte arena playing the role of its registered RDMA memory
-// region.  put/get are real memcpys between arenas; remote atomics use
-// std::atomic_ref on arena words; message buffers travel through bounded
-// per-destination inboxes (the command-queue transport).  Every operation is
-// charged to the initiating PE's virtual clock via the PerfParams model, and
-// message arrival times propagate causality to receivers, so benchmark
-// numbers reflect the modeled InfiniBand fabric.
+// region; put/get and remote atomics on it are the Lamellae's one RDMA path
+// (lamellae.cpp).  Message buffers travel through bounded per-destination
+// inboxes (the command-queue transport).  Every operation is charged to the
+// initiating PE's virtual clock via the PerfParams model, and message
+// arrival times propagate causality to receivers, so benchmark numbers
+// reflect the modeled InfiniBand fabric.
 #pragma once
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -36,6 +35,22 @@ struct FabricMessage {
   ByteBuffer payload;
 };
 
+/// Handles on one PE's `fabric.*` transport counters, the names both
+/// backends share.  Resolved once at construction; ops update them with
+/// relaxed atomics (no name lookups on the data path).
+struct FabricCounters {
+  explicit FabricCounters(obs::MetricsRegistry& reg);
+  obs::Counter* puts;
+  obs::Counter* gets;
+  obs::Counter* atomics;
+  obs::Counter* bytes_put;
+  obs::Counter* bytes_get;
+  obs::Counter* msgs_sent;
+  obs::Counter* msgs_polled;
+  obs::Counter* bytes_sent;
+  obs::Counter* barriers;
+};
+
 class ShmemFabric {
  public:
   /// `metrics_enabled=false` makes every per-PE registry inert
@@ -48,36 +63,9 @@ class ShmemFabric {
 
   [[nodiscard]] std::size_t num_pes() const { return clocks_.size(); }
   [[nodiscard]] std::size_t arena_bytes() const { return arena_bytes_; }
-  [[nodiscard]] std::byte* arena(pe_id pe) { return arenas_[pe].base(); }
+  [[nodiscard]] std::byte* arena(pe_id pe) const { return arenas_[pe].base(); }
   [[nodiscard]] const PerfParams& params() const { return params_; }
   [[nodiscard]] const PeMapping& mapping() const { return mapping_; }
-
-  // ---- RDMA ----
-
-  /// Write `data` into `dst`'s arena at `dst_offset` (initiated by `src`).
-  void put(pe_id src, pe_id dst, std::size_t dst_offset,
-           std::span<const std::byte> data);
-
-  /// Read from `src_remote`'s arena at `remote_offset` into `out`
-  /// (initiated by `dst`).
-  void get(pe_id dst, pe_id src_remote, std::size_t remote_offset,
-           std::span<std::byte> out);
-
-  /// Same data movement as get(), but charged at the *pipelined* rate: the
-  /// cost of one of many back-to-back posted descriptors (used by
-  /// aggregators that keep the read pipeline full, e.g. Chapel's
-  /// CopyAggregator).
-  void get_pipelined(pe_id dst, pe_id src_remote, std::size_t remote_offset,
-                     std::span<std::byte> out);
-
-  // ---- remote atomics on 64-bit arena words ----
-  std::uint64_t atomic_fetch_add_u64(pe_id src, pe_id dst, std::size_t offset,
-                                     std::uint64_t v);
-  std::uint64_t atomic_load_u64(pe_id src, pe_id dst, std::size_t offset);
-  void atomic_store_u64(pe_id src, pe_id dst, std::size_t offset,
-                        std::uint64_t v);
-  bool atomic_cas_u64(pe_id src, pe_id dst, std::size_t offset,
-                      std::uint64_t& expected, std::uint64_t desired);
 
   // ---- messaging (command-queue transport) ----
 
@@ -112,13 +100,14 @@ class ShmemFabric {
   void charge(pe_id pe, double ns) {
     if (!virtual_time_) return;
     clocks_[pe].advance(ns);
-    fab_metrics_[pe].vtime_charged_ns->inc(static_cast<std::uint64_t>(ns));
+    vtime_charged_ns_[pe]->inc(static_cast<std::uint64_t>(ns));
   }
 
   [[nodiscard]] bool virtual_time_enabled() const { return virtual_time_; }
 
-  /// Cost of one put/get between these PEs (intra-node transfers bypass the
-  /// NIC and are charged at memory-copy rates).
+  /// Cost of one put, get or message of `bytes` between these PEs
+  /// (intra-node transfers bypass the NIC and are charged at memory-copy
+  /// rates).
   [[nodiscard]] double transfer_cost_ns(pe_id a, pe_id b,
                                         std::size_t bytes) const;
 
@@ -145,23 +134,6 @@ class ShmemFabric {
     std::deque<FabricMessage> messages;
   };
 
-  // Handles resolved once per PE at construction; ops update them with
-  // relaxed atomics (no name lookups on the data path).
-  struct FabricCounters {
-    obs::Counter* puts;
-    obs::Counter* gets;
-    obs::Counter* atomics;
-    obs::Counter* bytes_put;
-    obs::Counter* bytes_get;
-    obs::Counter* msgs_sent;
-    obs::Counter* msgs_polled;
-    obs::Counter* bytes_sent;
-    obs::Counter* barriers;
-    obs::Counter* vtime_charged_ns;
-  };
-
-  void check_bounds(pe_id pe, std::size_t offset, std::size_t len) const;
-
   std::size_t arena_bytes_;
   PerfParams params_;
   PeMapping mapping_;
@@ -170,6 +142,7 @@ class ShmemFabric {
   std::vector<VirtualClock> clocks_;
   std::deque<obs::MetricsRegistry> registries_;  // deque: non-movable elems
   std::vector<FabricCounters> fab_metrics_;
+  std::vector<obs::Counter*> vtime_charged_ns_;
   std::vector<std::unique_ptr<Inbox>> inboxes_;
   std::size_t inbox_capacity_ = 4096;
   SenseBarrier world_barrier_;

@@ -5,9 +5,6 @@
 namespace lamellar {
 
 namespace {
-// Extra reserve beyond the flush threshold so the record that tips a buffer
-// over the threshold normally fits without reallocating.
-constexpr std::size_t kRecordSlack = 4096;
 // First-touch reserve for a lane: small, so a lane that only ever carries a
 // few records never pins a threshold-sized allocation (the buffer grows
 // organically, and pooled buffers arrive with whatever capacity they earned).
@@ -91,8 +88,7 @@ OutgoingQueues::RecordWriter::~RecordWriter() {
 void OutgoingQueues::prime(Lane& lane) {
   if (lane.active.capacity() != 0) return;
   bool hit = false;
-  lane.active = pool_.acquire(
-      std::min(kLaneInitialBytes, threshold_ + kRecordSlack), &hit);
+  lane.active = pool_.acquire(kLaneInitialBytes, &hit);
   if (!hit) metrics_.buffers_allocated->inc();
   metrics_.live_lanes->add(1);
 }

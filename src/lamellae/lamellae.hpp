@@ -11,6 +11,7 @@
 // a shared segment).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <span>
@@ -35,12 +36,14 @@ inline constexpr std::size_t kQuiesceCountOffset = 0;
 class Lamellae {
  public:
   virtual ~Lamellae() = default;
+  Lamellae(const Lamellae&) = delete;
+  Lamellae& operator=(const Lamellae&) = delete;
 
   [[nodiscard]] virtual pe_id my_pe() const = 0;
   [[nodiscard]] virtual std::size_t num_pes() const = 0;
 
   /// Base of this PE's registered memory arena.
-  virtual std::byte* base() = 0;
+  std::byte* base() { return arena(my_pe()).data(); }
 
   // ---- RDMA memory-region management ----
 
@@ -70,24 +73,27 @@ class Lamellae {
   virtual void free_onesided(std::size_t offset) = 0;
 
   // ---- RDMA transfers (unsafe tier: no access control) ----
-  virtual void put(pe_id dst, std::size_t dst_offset,
-                   std::span<const std::byte> data) = 0;
-  virtual void get(pe_id src, std::size_t remote_offset,
-                   std::span<std::byte> out) = 0;
+  //
+  // Written once for every backend (lamellae.cpp): each maps every PE's
+  // arena into this process, so a put or get is a memcpy and a remote
+  // atomic is a std::atomic_ref on the peer's word.  Each op throws
+  // BoundsError unless the PE is in range and [offset, offset + len) lies
+  // inside the arena; an atomic's offset must also be 8-byte aligned.
+
+  void put(pe_id dst, std::size_t dst_offset, std::span<const std::byte> data);
+  void get(pe_id src, std::size_t remote_offset, std::span<std::byte> out);
 
   /// get() charged at the pipelined (back-to-back descriptor) rate.
-  virtual void get_pipelined(pe_id src, std::size_t remote_offset,
-                             std::span<std::byte> out) = 0;
+  void get_pipelined(pe_id src, std::size_t remote_offset,
+                     std::span<std::byte> out);
 
   // ---- remote atomics on 64-bit words in the arena ----
-  virtual std::uint64_t atomic_fetch_add_u64(pe_id dst, std::size_t offset,
-                                             std::uint64_t v) = 0;
-  virtual std::uint64_t atomic_load_u64(pe_id dst, std::size_t offset) = 0;
-  virtual void atomic_store_u64(pe_id dst, std::size_t offset,
-                                std::uint64_t v) = 0;
-  virtual bool atomic_cas_u64(pe_id dst, std::size_t offset,
-                              std::uint64_t& expected,
-                              std::uint64_t desired) = 0;
+  std::uint64_t atomic_fetch_add_u64(pe_id dst, std::size_t offset,
+                                     std::uint64_t v);
+  std::uint64_t atomic_load_u64(pe_id dst, std::size_t offset);
+  void atomic_store_u64(pe_id dst, std::size_t offset, std::uint64_t v);
+  bool atomic_cas_u64(pe_id dst, std::size_t offset, std::uint64_t& expected,
+                      std::uint64_t desired);
 
   // ---- serialized message transport ----
 
@@ -123,7 +129,24 @@ class Lamellae {
   /// otherwise.
   [[nodiscard]] virtual sim_nanos now() const { return real_now_ns(); }
 
+  /// This PE's metrics registry (observability layer).  Always valid; an
+  /// inert registry is returned when metrics are disabled.
+  obs::MetricsRegistry& metrics() { return metrics_; }
+
+  [[nodiscard]] virtual const PerfParams& params() const = 0;
+
+  /// Charge modeled host-side time to this PE.
+  virtual void charge(double ns) = 0;
+
+  /// PEs co-located per modeled node (the RouteGrid uses this to align
+  /// 2-hop relay rows with nodes).  Backends without a node concept report 1.
+  [[nodiscard]] virtual std::size_t pes_per_node() const { return 1; }
+
  protected:
+  /// `metrics` is this PE's registry; it must outlive the endpoint.
+  explicit Lamellae(obs::MetricsRegistry& metrics)
+      : fabric_counters_(metrics), metrics_(metrics) {}
+
   [[nodiscard]] static sim_nanos real_now_ns() {
     return static_cast<sim_nanos>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -131,22 +154,33 @@ class Lamellae {
             .count());
   }
 
- public:
-  /// This PE's metrics registry (observability layer).  Always valid; an
-  /// inert registry is returned when metrics are disabled.
-  virtual obs::MetricsRegistry& metrics() = 0;
+  /// The RDMA accesses the cost model tells apart.
+  enum class Access { kTransfer, kPipelined, kAtomic };
 
-  [[nodiscard]] virtual const PerfParams& params() const = 0;
+  /// PE `pe`'s arena as mapped in this process; every PE's has one size.
+  [[nodiscard]] virtual std::span<std::byte> arena(pe_id pe) const = 0;
 
-  /// Charge modeled host-side time to this PE.
-  virtual void charge(double ns) = 0;
+  /// Modeled time one access of `bytes` into `peer`'s arena costs this PE.
+  /// Backends that run on real time charge nothing.
+  [[nodiscard]] virtual double access_cost_ns(pe_id /*peer*/, Access /*kind*/,
+                                              std::size_t /*bytes*/) const {
+    return 0.0;
+  }
 
-  /// True when src->dst crosses a modeled node boundary.
-  [[nodiscard]] virtual bool remote_to(pe_id dst) const = 0;
+  /// This PE's `fabric.*` counters; backends count messages and barriers
+  /// here too.
+  FabricCounters fabric_counters_;
 
-  /// PEs co-located per modeled node (the RouteGrid uses this to align
-  /// 2-hop relay rows with nodes).  Backends without a node concept report 1.
-  [[nodiscard]] virtual std::size_t pes_per_node() const { return 1; }
+ private:
+  /// Start of [offset, offset + len) in `pe`'s arena, after the PE and
+  /// bounds checks.
+  std::byte* checked(pe_id pe, std::size_t offset, std::size_t len) const;
+  void read(pe_id src, std::size_t remote_offset, std::span<std::byte> out,
+            Access kind);
+  /// The checked, charged and counted word one remote atomic acts on.
+  std::atomic_ref<std::uint64_t> atomic_word(pe_id pe, std::size_t offset);
+
+  obs::MetricsRegistry& metrics_;
 };
 
 }  // namespace lamellar

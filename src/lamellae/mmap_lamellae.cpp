@@ -219,11 +219,19 @@ std::vector<std::string> MmapSegment::segments_of(std::int32_t creator) {
 
 MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
                            const RuntimeConfig& cfg)
-    : name_(segment_name),
+    : MmapLamellae(segment_name, pe, cfg,
+                   std::make_unique<obs::MetricsRegistry>(
+                       cfg.metrics_mode != MetricsMode::kOff)) {}
+
+MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
+                           const RuntimeConfig& cfg,
+                           std::unique_ptr<obs::MetricsRegistry> registry)
+    : Lamellae(*registry),
+      name_(segment_name),
       pe_(pe),
       barrier_timeout_ms_(cfg.mp_barrier_timeout_ms),
       params_(paper_perf_params()),
-      registry_(cfg.metrics_mode != MetricsMode::kOff) {
+      registry_(std::move(registry)) {
   const int fd = shm_open(name_.c_str(), O_RDWR, 0);
   if (fd < 0) {
     throw Error("MmapLamellae: shm_open(" + name_ +
@@ -267,18 +275,9 @@ MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
     send_mu_.push_back(std::make_unique<std::mutex>());
   }
 
-  puts_ = &registry_.counter("fabric.puts");
-  gets_ = &registry_.counter("fabric.gets");
-  atomics_ = &registry_.counter("fabric.atomics");
-  bytes_put_ = &registry_.counter("fabric.bytes_put");
-  bytes_get_ = &registry_.counter("fabric.bytes_get");
-  msgs_sent_ = &registry_.counter("fabric.msgs_sent");
-  msgs_polled_ = &registry_.counter("fabric.msgs_polled");
-  bytes_sent_ = &registry_.counter("fabric.bytes_sent");
-  barriers_ = &registry_.counter("fabric.barriers");
-  backpressure_waits_ = &registry_.counter("mp.backpressure_waits");
-  ring_wakes_ = &registry_.counter("mp.ring_wakes");
-  barrier_futex_waits_ = &registry_.counter("mp.barrier_futex_waits");
+  backpressure_waits_ = &metrics().counter("mp.backpressure_waits");
+  ring_wakes_ = &metrics().counter("mp.ring_wakes");
+  barrier_futex_waits_ = &metrics().counter("mp.barrier_futex_waits");
 
   auto& me = slot(pe_);
   me.pid.store(getpid(), std::memory_order_relaxed);
@@ -348,87 +347,10 @@ void MmapLamellae::free_onesided(std::size_t offset) {
   onesided_heap_->free(offset);
 }
 
-// ---- RDMA transfers -------------------------------------------------------
-
-void MmapLamellae::check_bounds(std::size_t offset, std::size_t len) const {
-  if (offset + len > ctl_->arena_bytes || offset + len < offset) {
-    throw Error("MmapLamellae: transfer [" + std::to_string(offset) + ", " +
-                std::to_string(offset + len) + ") outside the " +
-                std::to_string(ctl_->arena_bytes) + "-byte arena");
-  }
-}
-
-void MmapLamellae::put(pe_id dst, std::size_t dst_offset,
-                       std::span<const std::byte> data) {
-  check_bounds(dst_offset, data.size());
-  std::memcpy(arena(dst) + dst_offset, data.data(), data.size());
-  puts_->inc();
-  bytes_put_->inc(data.size());
-}
-
-void MmapLamellae::get(pe_id src, std::size_t remote_offset,
-                       std::span<std::byte> out) {
-  check_bounds(remote_offset, out.size());
-  std::memcpy(out.data(), arena(src) + remote_offset, out.size());
-  gets_->inc();
-  bytes_get_->inc(out.size());
-}
-
-void MmapLamellae::get_pipelined(pe_id src, std::size_t remote_offset,
-                                 std::span<std::byte> out) {
-  get(src, remote_offset, out);
-}
-
-// ---- remote atomics -------------------------------------------------------
-
-std::uint64_t* MmapLamellae::word_at(pe_id pe, std::size_t offset) {
-  check_bounds(offset, sizeof(std::uint64_t));
-  if ((offset & 7) != 0) {
-    throw Error("MmapLamellae: atomic offset " + std::to_string(offset) +
-                " is not 8-byte aligned");
-  }
-  return reinterpret_cast<std::uint64_t*>(arena(pe) + offset);
-}
-
-// atomic_ref on mapped peer words IS the remote atomic: x86/aarch64 atomics
-// are address-free, so the same physical word reached through different
-// per-process mappings still serializes correctly.
-static_assert(std::atomic_ref<std::uint64_t>::is_always_lock_free,
-              "cross-process remote atomics need lock-free atomic_ref");
-
-std::uint64_t MmapLamellae::atomic_fetch_add_u64(pe_id dst,
-                                                 std::size_t offset,
-                                                 std::uint64_t v) {
-  atomics_->inc();
-  return std::atomic_ref<std::uint64_t>(*word_at(dst, offset))
-      .fetch_add(v, std::memory_order_acq_rel);
-}
-
-std::uint64_t MmapLamellae::atomic_load_u64(pe_id dst, std::size_t offset) {
-  atomics_->inc();
-  return std::atomic_ref<std::uint64_t>(*word_at(dst, offset))
-      .load(std::memory_order_acquire);
-}
-
-void MmapLamellae::atomic_store_u64(pe_id dst, std::size_t offset,
-                                    std::uint64_t v) {
-  atomics_->inc();
-  std::atomic_ref<std::uint64_t>(*word_at(dst, offset))
-      .store(v, std::memory_order_release);
-}
-
-bool MmapLamellae::atomic_cas_u64(pe_id dst, std::size_t offset,
-                                  std::uint64_t& expected,
-                                  std::uint64_t desired) {
-  atomics_->inc();
-  return std::atomic_ref<std::uint64_t>(*word_at(dst, offset))
-      .compare_exchange_strong(expected, desired, std::memory_order_acq_rel,
-                               std::memory_order_acquire);
-}
-
 // ---- message transport ----------------------------------------------------
 
 bool MmapLamellae::try_send(pe_id dst, ByteBuffer& buf) {
+  check_pe("mmap send", dst, num_pes_);
   const std::size_t n = buf.size();
   const std::size_t need = record_bytes(n);
   const std::size_t cap = ctl_->ring_bytes;
@@ -465,8 +387,8 @@ bool MmapLamellae::try_send(pe_id dst, ByteBuffer& buf) {
   if (n > first) std::memcpy(data, buf.data() + first, n - first);
   hdr.tail.store(tail + need, std::memory_order_release);
   buf.clear();
-  msgs_sent_->inc();
-  bytes_sent_->inc(n);
+  fabric_counters_.msgs_sent->inc();
+  fabric_counters_.bytes_sent->inc(n);
   return true;
 }
 
@@ -499,7 +421,7 @@ bool MmapLamellae::poll(FabricMessage& out) {
     out.src = src;
     out.payload = ByteBuffer(std::move(payload));
     poll_cursor_ = (src + 1) % num_pes_;
-    msgs_polled_->inc();
+    fabric_counters_.msgs_polled->inc();
     return true;
   }
   return false;
@@ -537,7 +459,7 @@ void MmapLamellae::barrier() {
   if (ctl_->bar_abort.load(std::memory_order_acquire) != 0) {
     rethrow_barrier_abort();
   }
-  barriers_->inc();
+  fabric_counters_.barriers->inc();
   // bar_word packs (generation << 32) | arrived in one word, so the count
   // reset and the generation bump are a single atomic store — a fast peer
   // re-entering the next barrier can never race a half-reset round.

@@ -5,10 +5,10 @@
 // SPSC byte ring per (dst, src) PE pair (the cross-process command-queue
 // transport, with futex-based backpressure wakeup), and one RDMA arena per
 // PE, [reserved page | symmetric | one-sided] as in-process.  Every process
-// maps the whole segment, so put/get are memcpys into a peer's arena and
-// remote atomics are std::atomic_ref on mapped peer words — the same
-// operations ShmemLamellae performs in-process, now across genuine
-// address-space boundaries.  Everything above the Lamellae interface (AM
+// maps the whole segment, so the Lamellae's one RDMA path (memcpy into a
+// peer's arena, std::atomic_ref on its words) runs here unchanged, now
+// across genuine address-space boundaries; this backend only says where
+// each arena is mapped.  Everything above the Lamellae interface (AM
 // engine, aggregation lanes, arrays, Darc, termination detection) runs
 // unmodified.
 //
@@ -154,7 +154,6 @@ class MmapLamellae final : public Lamellae {
 
   [[nodiscard]] pe_id my_pe() const override { return pe_; }
   [[nodiscard]] std::size_t num_pes() const override { return num_pes_; }
-  std::byte* base() override { return arena(pe_); }
 
   std::size_t alloc_symmetric(std::size_t bytes, std::size_t align) override;
   void free_symmetric(std::size_t offset) override;
@@ -167,21 +166,6 @@ class MmapLamellae final : public Lamellae {
   std::size_t alloc_onesided(std::size_t bytes, std::size_t align) override;
   void free_onesided(std::size_t offset) override;
 
-  void put(pe_id dst, std::size_t dst_offset,
-           std::span<const std::byte> data) override;
-  void get(pe_id src, std::size_t remote_offset,
-           std::span<std::byte> out) override;
-  void get_pipelined(pe_id src, std::size_t remote_offset,
-                     std::span<std::byte> out) override;
-
-  std::uint64_t atomic_fetch_add_u64(pe_id dst, std::size_t offset,
-                                     std::uint64_t v) override;
-  std::uint64_t atomic_load_u64(pe_id dst, std::size_t offset) override;
-  void atomic_store_u64(pe_id dst, std::size_t offset,
-                        std::uint64_t v) override;
-  bool atomic_cas_u64(pe_id dst, std::size_t offset, std::uint64_t& expected,
-                      std::uint64_t desired) override;
-
   bool try_send(pe_id dst, ByteBuffer& buf) override;
   bool poll(FabricMessage& out) override;
   [[nodiscard]] bool inbox_empty() const override;
@@ -192,11 +176,9 @@ class MmapLamellae final : public Lamellae {
   /// barrier: a sub-team would need team state in the shared segment (the
   /// mp rendezvous already rejects creating one).
   void barrier(SenseBarrier& team, std::size_t rank) override;
-  obs::MetricsRegistry& metrics() override { return registry_; }
   [[nodiscard]] const PerfParams& params() const override { return params_; }
   /// Real processes run on real time: there is no modeled time to charge.
   void charge(double) override {}
-  [[nodiscard]] bool remote_to(pe_id) const override { return false; }
   [[nodiscard]] std::size_t pes_per_node() const override { return num_pes_; }
 
   /// Clean detach: publish kExited so peers stop expecting this PE.
@@ -207,8 +189,15 @@ class MmapLamellae final : public Lamellae {
   [[nodiscard]] const std::string& segment_name() const { return name_; }
 
  private:
-  std::byte* arena(pe_id pe) {
-    return map_ + ctl_->arenas_off + pe * ctl_->arena_stride;
+  /// The public constructor builds the registry first, so that the base
+  /// can resolve its counters from it.
+  MmapLamellae(const std::string& segment_name, pe_id pe,
+               const RuntimeConfig& cfg,
+               std::unique_ptr<obs::MetricsRegistry> registry);
+
+  [[nodiscard]] std::span<std::byte> arena(pe_id pe) const override {
+    return {map_ + ctl_->arenas_off + pe * ctl_->arena_stride,
+            ctl_->arena_bytes};
   }
   mpshm::MpPeSlot& slot(pe_id pe) const {
     return *reinterpret_cast<mpshm::MpPeSlot*>(map_ + ctl_->slots_off + pe * sizeof(mpshm::MpPeSlot));
@@ -222,8 +211,6 @@ class MmapLamellae final : public Lamellae {
     return map_ + ctl_->ring_data_off +
            (dst * num_pes_ + src) * ctl_->ring_bytes;
   }
-  void check_bounds(std::size_t offset, std::size_t len) const;
-  std::uint64_t* word_at(pe_id pe, std::size_t offset);
   [[noreturn]] void abort_barrier(pe_id culprit, const std::string& why);
   [[noreturn]] void rethrow_barrier_abort() const;
 
@@ -245,7 +232,7 @@ class MmapLamellae final : public Lamellae {
   std::unique_ptr<BufferPool> buffer_pool_;
 
   PerfParams params_;
-  obs::MetricsRegistry registry_;
+  std::unique_ptr<obs::MetricsRegistry> registry_;
 
   // Process-local producer/consumer locks: cross-process safety comes from
   // the ring head/tail protocol; these only serialize threads of THIS
@@ -254,17 +241,8 @@ class MmapLamellae final : public Lamellae {
   mutable std::mutex poll_mu_;
   pe_id poll_cursor_ = 0;
 
-  // Resolved metric handles (fabric.* for the transport, named as
-  // ShmemFabric names them; mp.* for backend-specific events).
-  obs::Counter* puts_;
-  obs::Counter* gets_;
-  obs::Counter* atomics_;
-  obs::Counter* bytes_put_;
-  obs::Counter* bytes_get_;
-  obs::Counter* msgs_sent_;
-  obs::Counter* msgs_polled_;
-  obs::Counter* bytes_sent_;
-  obs::Counter* barriers_;
+  // Resolved handles on the mp.* events only this backend has (the
+  // transport's fabric.* counters live in the base).
   obs::Counter* backpressure_waits_;
   obs::Counter* ring_wakes_;
   obs::Counter* barrier_futex_waits_;

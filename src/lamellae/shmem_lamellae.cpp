@@ -87,4 +87,18 @@ void ShmemLamellae::free_onesided(std::size_t offset) {
   group_.onesided_heaps_[pe_]->free(offset);
 }
 
+double ShmemLamellae::access_cost_ns(pe_id peer, Access kind,
+                                     std::size_t bytes) const {
+  const ShmemFabric& fabric = group_.fabric_;
+  const PerfParams& p = fabric.params();
+  if (kind == Access::kAtomic && peer == pe_) return p.atomic_store_ns;
+  if (kind == Access::kPipelined) {
+    // Back-to-back posts pipeline on the NIC only; within a node the copy
+    // runs at memcpy rate.
+    return fabric.mapping().same_node(pe_, peer) ? p.memcpy_ns(bytes)
+                                                 : p.pipelined_cost_ns(bytes);
+  }
+  return fabric.transfer_cost_ns(pe_, peer, bytes);
+}
+
 }  // namespace lamellar

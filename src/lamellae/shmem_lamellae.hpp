@@ -105,13 +105,12 @@ class ShmemLamellaeGroup {
 class ShmemLamellae final : public Lamellae {
  public:
   ShmemLamellae(ShmemLamellaeGroup& group, pe_id pe)
-      : group_(group), pe_(pe) {}
+      : Lamellae(group.fabric().metrics(pe)), group_(group), pe_(pe) {}
 
   [[nodiscard]] pe_id my_pe() const override { return pe_; }
   [[nodiscard]] std::size_t num_pes() const override {
     return group_.fabric_.num_pes();
   }
-  std::byte* base() override { return group_.fabric_.arena(pe_); }
 
   std::size_t alloc_symmetric(std::size_t bytes, std::size_t align) override;
   void free_symmetric(std::size_t offset) override;
@@ -123,35 +122,6 @@ class ShmemLamellae final : public Lamellae {
                             std::size_t participants) override;
   std::size_t alloc_onesided(std::size_t bytes, std::size_t align) override;
   void free_onesided(std::size_t offset) override;
-
-  void put(pe_id dst, std::size_t dst_offset,
-           std::span<const std::byte> data) override {
-    group_.fabric_.put(pe_, dst, dst_offset, data);
-  }
-  void get(pe_id src, std::size_t remote_offset,
-           std::span<std::byte> out) override {
-    group_.fabric_.get(pe_, src, remote_offset, out);
-  }
-  void get_pipelined(pe_id src, std::size_t remote_offset,
-                     std::span<std::byte> out) override {
-    group_.fabric_.get_pipelined(pe_, src, remote_offset, out);
-  }
-
-  std::uint64_t atomic_fetch_add_u64(pe_id dst, std::size_t offset,
-                                     std::uint64_t v) override {
-    return group_.fabric_.atomic_fetch_add_u64(pe_, dst, offset, v);
-  }
-  std::uint64_t atomic_load_u64(pe_id dst, std::size_t offset) override {
-    return group_.fabric_.atomic_load_u64(pe_, dst, offset);
-  }
-  void atomic_store_u64(pe_id dst, std::size_t offset,
-                        std::uint64_t v) override {
-    group_.fabric_.atomic_store_u64(pe_, dst, offset, v);
-  }
-  bool atomic_cas_u64(pe_id dst, std::size_t offset, std::uint64_t& expected,
-                      std::uint64_t desired) override {
-    return group_.fabric_.atomic_cas_u64(pe_, dst, offset, expected, desired);
-  }
 
   bool try_send(pe_id dst, ByteBuffer& buf) override {
     return group_.fabric_.try_send(pe_, dst, buf);
@@ -175,21 +145,21 @@ class ShmemLamellae final : public Lamellae {
                ? group_.fabric_.clock(pe_).now()
                : real_now_ns();
   }
-  obs::MetricsRegistry& metrics() override {
-    return group_.fabric_.metrics(pe_);
-  }
   [[nodiscard]] const PerfParams& params() const override {
     return group_.fabric_.params();
   }
   void charge(double ns) override { group_.fabric_.charge(pe_, ns); }
-  [[nodiscard]] bool remote_to(pe_id dst) const override {
-    return !group_.fabric_.mapping().same_node(pe_, dst);
-  }
   [[nodiscard]] std::size_t pes_per_node() const override {
     return group_.fabric_.mapping().pes_per_node;
   }
 
  private:
+  [[nodiscard]] std::span<std::byte> arena(pe_id pe) const override {
+    return {group_.fabric_.arena(pe), group_.fabric_.arena_bytes()};
+  }
+  [[nodiscard]] double access_cost_ns(pe_id peer, Access kind,
+                                      std::size_t bytes) const override;
+
   ShmemLamellaeGroup& group_;
   pe_id pe_;
 };

@@ -176,27 +176,33 @@ TEST(Config, UnknownEnvVarsFlagged) {
   ::setenv("LAMELLAR_VIRTUAL_TIME", "0", 1);
   // And the reserved-region size: the region is one fixed page.
   ::setenv("LAMELLAR_INTERNAL_HEAP", "64K", 1);
+  // And the 2-hop relay cutoff: it is always agg_threshold / 8.
+  ::setenv("LAMELLAR_ROUTE_CUTOFF", "1", 1);
   auto unknown = unknown_lamellar_env_vars();
   bool saw_bogus = false;
   bool saw_adapt = false;
   bool saw_virtual_time = false;
   bool saw_internal_heap = false;
+  bool saw_route_cutoff = false;
   for (const auto& name : unknown) {
     EXPECT_NE(name, "LAMELLAR_AGG_THRESHOLD");
     if (name == "LAMELLAR_DEFINITELY_NOT_A_KNOB") saw_bogus = true;
     if (name == "LAMELLAR_ADAPT") saw_adapt = true;
     if (name == "LAMELLAR_VIRTUAL_TIME") saw_virtual_time = true;
     if (name == "LAMELLAR_INTERNAL_HEAP") saw_internal_heap = true;
+    if (name == "LAMELLAR_ROUTE_CUTOFF") saw_route_cutoff = true;
   }
   EXPECT_TRUE(saw_bogus);
   EXPECT_TRUE(saw_adapt);
   EXPECT_TRUE(saw_virtual_time);
   EXPECT_TRUE(saw_internal_heap);
+  EXPECT_TRUE(saw_route_cutoff);
   ::unsetenv("LAMELLAR_DEFINITELY_NOT_A_KNOB");
   ::unsetenv("LAMELLAR_AGG_THRESHOLD");
   ::unsetenv("LAMELLAR_ADAPT");
   ::unsetenv("LAMELLAR_VIRTUAL_TIME");
   ::unsetenv("LAMELLAR_INTERNAL_HEAP");
+  ::unsetenv("LAMELLAR_ROUTE_CUTOFF");
 }
 
 TEST(UniqueFunction, MoveOnlyCapture) {

@@ -70,12 +70,18 @@ TEST(Heap, DoubleFreeThrows) {
   EXPECT_THROW(heap.free(a), Error);
 }
 
+/// Arenas of the reserved page plus `heap_bytes` of symmetric heap.
+ShmemLamellaeGroup::Layout arena_layout(std::size_t heap_bytes) {
+  return {.symmetric_bytes = heap_bytes, .onesided_bytes = 0};
+}
+
 TEST(Fabric, PutGetBetweenArenas) {
-  ShmemFabric fabric(2, 4096);
+  ShmemLamellaeGroup group(2, arena_layout(0));
+  auto l0 = group.endpoint(0);
   std::vector<std::byte> data(64, std::byte{0x5a});
-  fabric.put(0, 1, 128, data);
+  l0->put(1, 128, data);
   std::vector<std::byte> back(64);
-  fabric.get(0, 1, 128, back);
+  l0->get(1, 128, back);
   EXPECT_EQ(back, data);
 }
 
@@ -87,21 +93,23 @@ TEST(Fabric, ArenaZeroInitialized) {
 }
 
 TEST(Fabric, BoundsChecked) {
-  ShmemFabric fabric(2, 256);
+  ShmemLamellaeGroup group(2, arena_layout(0));
+  auto l0 = group.endpoint(0);
   std::vector<std::byte> data(64);
-  EXPECT_THROW(fabric.put(0, 1, 224, data), BoundsError);
-  EXPECT_THROW(fabric.put(0, 9, 0, data), BoundsError);
+  EXPECT_THROW(l0->put(1, kReservedArenaBytes - 32, data), BoundsError);
+  EXPECT_THROW(l0->put(9, 0, data), BoundsError);
 }
 
 TEST(Fabric, RemoteAtomics) {
-  ShmemFabric fabric(2, 256);
-  EXPECT_EQ(fabric.atomic_fetch_add_u64(0, 1, 8, 5), 0u);
-  EXPECT_EQ(fabric.atomic_load_u64(0, 1, 8), 5u);
-  fabric.atomic_store_u64(0, 1, 8, 42);
+  ShmemLamellaeGroup group(2, arena_layout(0));
+  auto l0 = group.endpoint(0);
+  EXPECT_EQ(l0->atomic_fetch_add_u64(1, 8, 5), 0u);
+  EXPECT_EQ(l0->atomic_load_u64(1, 8), 5u);
+  l0->atomic_store_u64(1, 8, 42);
   std::uint64_t expected = 42;
-  EXPECT_TRUE(fabric.atomic_cas_u64(0, 1, 8, expected, 43));
+  EXPECT_TRUE(l0->atomic_cas_u64(1, 8, expected, 43));
   expected = 42;
-  EXPECT_FALSE(fabric.atomic_cas_u64(0, 1, 8, expected, 44));
+  EXPECT_FALSE(l0->atomic_cas_u64(1, 8, expected, 44));
   EXPECT_EQ(expected, 43u);
 }
 
@@ -123,11 +131,13 @@ TEST(Fabric, MessagingFifoPerDestination) {
 
 TEST(Fabric, VirtualTimeChargesTransfers) {
   PeMapping mapping{1};  // each PE on its own node -> NIC path
-  ShmemFabric fabric(2, 1 << 20, paper_perf_params(), mapping, true);
-  const auto t0 = fabric.clock(0).now();
+  ShmemLamellaeGroup group(2, arena_layout(1 << 20), paper_perf_params(),
+                           mapping, true);
+  auto l0 = group.endpoint(0);
+  const auto t0 = group.fabric().clock(0).now();
   std::vector<std::byte> data(1 << 16);
-  fabric.put(0, 1, 0, data);
-  const auto dt = fabric.clock(0).now() - t0;
+  l0->put(1, 0, data);
+  const auto dt = group.fabric().clock(0).now() - t0;
   // 64 KiB at ~12 GB/s plus overheads: roughly 6-8 us.
   EXPECT_GT(dt, 4'000u);
   EXPECT_LT(dt, 20'000u);
@@ -136,11 +146,64 @@ TEST(Fabric, VirtualTimeChargesTransfers) {
 TEST(Fabric, IntraNodeCheaperThanInterNode) {
   std::vector<std::byte> data(1 << 16);
   PeMapping inter{1}, intra{2};
-  ShmemFabric f1(2, 1 << 20, paper_perf_params(), inter, true);
-  ShmemFabric f2(2, 1 << 20, paper_perf_params(), intra, true);
-  f1.put(0, 1, 0, data);
-  f2.put(0, 1, 0, data);
-  EXPECT_GT(f1.clock(0).now(), f2.clock(0).now());
+  ShmemLamellaeGroup g1(2, arena_layout(1 << 20), paper_perf_params(), inter,
+                        true);
+  ShmemLamellaeGroup g2(2, arena_layout(1 << 20), paper_perf_params(), intra,
+                        true);
+  g1.endpoint(0)->put(1, 0, data);
+  g2.endpoint(0)->put(1, 0, data);
+  EXPECT_GT(g1.fabric().clock(0).now(), g2.fabric().clock(0).now());
+}
+
+// Every RDMA op advances the initiator's virtual clock by exactly its
+// PerfParams cost, truncated to whole nanoseconds, toward the initiator
+// itself, a PE on its node and a PE on another node.
+TEST(Fabric, RdmaChargesPinnedToPerfParams) {
+  constexpr std::size_t kBytes = 4096;
+  constexpr std::size_t kWord = sizeof(std::uint64_t);
+  const PerfParams p = paper_perf_params();
+  // PEs 0 and 1 share a node; PE 2 is alone on the next one.
+  ShmemLamellaeGroup group(3, arena_layout(kBytes), p, PeMapping{2}, true);
+  auto l0 = group.endpoint(0);
+  const auto intra_ns = [&](std::size_t bytes) {
+    return 120.0 + static_cast<double>(bytes) / p.memcpy_bytes_per_ns;
+  };
+  struct Expected {
+    pe_id peer;
+    double transfer, pipelined, atomic;
+  };
+  const Expected cases[] = {
+      {0, p.memcpy_ns(kBytes), p.memcpy_ns(kBytes), p.atomic_store_ns},
+      {1, intra_ns(kBytes), p.memcpy_ns(kBytes), intra_ns(kWord)},
+      {2, p.rdma_cost_ns(kBytes), p.pipelined_cost_ns(kBytes),
+       p.rdma_cost_ns(kWord)},
+  };
+  const std::size_t off = kReservedArenaBytes;
+  std::vector<std::byte> buf(kBytes);
+  for (const Expected& e : cases) {
+    SCOPED_TRACE(e.peer);
+    const auto expect_charge = [&](const char* op, double cost,
+                                   const auto& run) {
+      const sim_nanos t0 = group.fabric().clock(0).now();
+      run();
+      EXPECT_EQ(group.fabric().clock(0).now() - t0,
+                static_cast<sim_nanos>(cost))
+          << op;
+    };
+    expect_charge("put", e.transfer, [&] { l0->put(e.peer, off, buf); });
+    expect_charge("get", e.transfer, [&] { l0->get(e.peer, off, buf); });
+    expect_charge("get_pipelined", e.pipelined,
+                  [&] { l0->get_pipelined(e.peer, off, buf); });
+    expect_charge("atomic_fetch_add_u64", e.atomic,
+                  [&] { l0->atomic_fetch_add_u64(e.peer, off, 1); });
+    expect_charge("atomic_load_u64", e.atomic,
+                  [&] { l0->atomic_load_u64(e.peer, off); });
+    expect_charge("atomic_store_u64", e.atomic,
+                  [&] { l0->atomic_store_u64(e.peer, off, 2); });
+    std::uint64_t expected = 2;
+    expect_charge("atomic_cas_u64", e.atomic,
+                  [&] { l0->atomic_cas_u64(e.peer, off, expected, 3); });
+  }
 }
 
 TEST(Fabric, BarrierSynchronizesClocks) {

@@ -4,8 +4,9 @@
 // space separation.  Includes crash injection (a PE _exit()s or is
 // SIGKILLed mid-run and the survivors must name it), a randomized
 // cross-process fabric-atomic conservation check, fig3-shaped checksum
-// parity between the shmem and mmap backends, and the two-view MAP_FIXED
-// regression for OffsetHeap's base-relative bookkeeping.
+// parity and one RDMA contract (checks and counters) for the shmem and mmap
+// backends, and the two-view MAP_FIXED regression for OffsetHeap's
+// base-relative bookkeeping.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -19,6 +20,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -106,6 +109,18 @@ class MpSmoke : public mptest::MpTest {};
 class MpArray : public mptest::MpTest {};
 class MpProps : public mptest::MpTest {};
 class MpCrash : public mptest::MpTest {};
+class RdmaContract : public mptest::MpTest {};
+
+/// True when `op` throws BoundsError; any other exception propagates.
+template <typename Op>
+bool throws_bounds(const Op& op) {
+  try {
+    op();
+  } catch (const BoundsError&) {
+    return true;
+  }
+  return false;
+}
 
 // ---- world bring-up at 2 / 4 / 8 processes ----
 
@@ -371,6 +386,106 @@ MP_TEST(MpArray, RemoteElementOps, 2) {
   }
   world.barrier();
 }
+
+// ---- a destination outside the world ----
+
+MP_TEST(MpSmoke, BadDestinationPeThrows, 2) {
+  MP_CHECK(throws_bounds([&] { (void)world.exec_am_pe(7, MpAddAm{1, 2}); }));
+  MP_CHECK(throws_bounds(
+      [&] { world.engine().send_forget(world.num_pes(), MpHelloAm{}); }));
+  // Nothing was counted, so wait_all() returns and the world finalizes.
+  world.wait_all();
+  MP_CHECK_EQ(world.block_on(world.exec_am_pe(1 - world.my_pe(),
+                                              MpAddAm{20, 22})),
+              42u);
+}
+
+// ---- the one RDMA path: the same checks and counters on both backends ----
+
+/// The fabric.* counters that moved between two snapshots, as
+/// "name=delta" in name order.  fabric.vtime_charged_ns is left out: it
+/// records modeled time, which only the in-process backend keeps.
+std::string fabric_moves(const obs::MetricsSnapshot& before,
+                         const obs::MetricsSnapshot& after) {
+  std::map<std::string, std::uint64_t> moved;
+  for (const auto& [name, delta] : obs::snapshot_delta(before, after).counters) {
+    if (name.starts_with("fabric.") && name != "fabric.vtime_charged_ns" &&
+        delta != 0) {
+      moved[name] = delta;
+    }
+  }
+  std::string out;
+  for (const auto& [name, delta] : moved) {
+    out += (out.empty() ? "" : " ") + name + "=" + std::to_string(delta);
+  }
+  return out;
+}
+
+/// SPMD on 2 PEs, each touching only its peer's arena: every rejected
+/// access throws BoundsError and moves no counter, then one valid op of each
+/// kind moves the same fabric.* counters whatever the backend.
+void rdma_contract(World& world) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  Lamellae& l = world.lamellae();
+  const RuntimeConfig& cfg = world.config();
+  const std::size_t arena = kReservedArenaBytes + cfg.symmetric_heap_bytes +
+                            cfg.onesided_heap_bytes;
+  const pe_id peer = 1 - world.my_pe();
+  const pe_id bad = world.num_pes();
+  const std::size_t off = l.alloc_symmetric(128, 64);
+  const std::size_t word = off + 64;
+  std::vector<std::byte> data(64, std::byte{0x5a});
+  std::vector<std::byte> back(64);
+  world.barrier();
+  const obs::MetricsSnapshot before = world.metrics_snapshot();
+
+  // Transfers: a PE outside the world, a range running past the arena's
+  // end, and one whose end wraps past 2^64.
+  for (const auto& [pe, at] : {std::pair{bad, off}, std::pair{peer, arena - 32},
+                               std::pair{peer, kMax - 31}}) {
+    MP_CHECK(throws_bounds([&] { l.put(pe, at, data); }));
+    MP_CHECK(throws_bounds([&] { l.get(pe, at, back); }));
+    MP_CHECK(throws_bounds([&] { l.get_pipelined(pe, at, back); }));
+  }
+  // Atomics: the same three, plus a misaligned word inside the arena.
+  for (const auto& [pe, at] :
+       {std::pair{bad, word}, std::pair{peer, arena}, std::pair{peer, kMax - 7},
+        std::pair{peer, word + 3}}) {
+    std::uint64_t expected = 0;
+    MP_CHECK(throws_bounds([&] { l.atomic_fetch_add_u64(pe, at, 1); }));
+    MP_CHECK(throws_bounds([&] { l.atomic_load_u64(pe, at); }));
+    MP_CHECK(throws_bounds([&] { l.atomic_store_u64(pe, at, 1); }));
+    MP_CHECK(throws_bounds([&] { l.atomic_cas_u64(pe, at, expected, 1); }));
+  }
+  MP_CHECK_EQ(fabric_moves(before, world.metrics_snapshot()), std::string());
+
+  l.put(peer, off, data);
+  l.get(peer, off, back);
+  MP_CHECK(back == data);
+  l.get_pipelined(peer, off, back);
+  l.atomic_store_u64(peer, word, 5);
+  MP_CHECK_EQ(l.atomic_fetch_add_u64(peer, word, 2), 5u);
+  MP_CHECK_EQ(l.atomic_load_u64(peer, word), 7u);
+  std::uint64_t expected = 7;
+  MP_CHECK(l.atomic_cas_u64(peer, word, expected, 8));
+  MP_CHECK_EQ(fabric_moves(before, world.metrics_snapshot()),
+              std::string("fabric.atomics=4 fabric.bytes_get=128 "
+                          "fabric.bytes_put=64 fabric.gets=2 fabric.puts=1"));
+  world.barrier();
+  l.free_symmetric(off);
+}
+
+TEST_F(RdmaContract, InProcess) {
+  RuntimeConfig cfg = mptest::small_config();
+  cfg.backend = BackendKind::kShmem;
+  try {
+    run_world(2, rdma_contract, cfg);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+}
+
+MP_TEST(RdmaContract, Mmap, 2) { rdma_contract(world); }
 
 // ---- randomized cross-process fabric-atomic conservation ----
 

@@ -281,13 +281,14 @@ TEST(TwoHopRoute, RepliesSurviveRelaying) {
 }
 
 TEST(TwoHopRoute, CutoffSendsEverythingDirect) {
-  // With the cutoff forced to 1 byte every record escapes the relay: the
-  // 2-hop world must behave exactly like direct and never forward.
+  // An 8-byte flush threshold puts the relay cutoff (threshold / 8) at 1
+  // byte, so every record escapes the relay: the 2-hop world must behave
+  // exactly like direct and never forward.
   constexpr std::size_t kPes = 9;
   constexpr std::size_t kOps = 32;
   reset_globals();
   RuntimeConfig cfg = small_cfg(RouteMode::k2Hop);
-  cfg.route_direct_cutoff_bytes = 1;
+  cfg.agg_threshold_bytes = 8;
   std::vector<obs::MetricsSnapshot> snaps(kPes);
   run_world(
       kPes,

@@ -303,6 +303,20 @@ TEST(Smoke, QuiesceWaitsForHeldPoolTask) {
   }
 }
 
+// A destination outside the world is refused before the engine counts the
+// send, so the PE's wait_all() still returns and the world finalizes.
+TEST(Smoke, BadDestinationPeThrows) {
+  run_world(2, [](World& world) {
+    EXPECT_THROW((void)world.exec_am_pe(7, AddAm{1, 2}), BoundsError);
+    EXPECT_THROW(world.engine().send_forget(world.num_pes(), HelloAm{"x"}),
+                 BoundsError);
+    world.wait_all();
+    EXPECT_EQ(world.block_on(world.exec_am_pe(1 - world.my_pe(),
+                                              AddAm{20, 22})),
+              42u);
+  });
+}
+
 TEST(Smoke, VirtualTimeAdvances) {
   run_world(2, [](World& world) {
     const auto before = world.time_ns();
