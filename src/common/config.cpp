@@ -38,7 +38,6 @@ constexpr const char* kKnownEnvVars[] = {
     "LAMELLAR_THREADS",
     "LAMELLAR_TRACE_CAPACITY",
     "LAMELLAR_TRACE_FILE",
-    "LAMELLAR_TRACE_PER_PE",
     "LAMELLAR_TRACE_SAMPLE",
     // Bench / example / test parameters.
     "LAMELLAR_FIG2_FULL",
@@ -109,12 +108,11 @@ std::string env_str(const char* name, const std::string& fallback) {
 }
 
 MetricsMode parse_metrics_mode(const std::string& s) {
-  if (s == "off") return MetricsMode::kOff;
   if (s == "quiet") return MetricsMode::kQuiet;
   if (s == "summary") return MetricsMode::kSummary;
   if (s == "json") return MetricsMode::kJson;
   throw std::invalid_argument(
-      "LAMELLAR_METRICS must be off|quiet|summary|json, got: " + s);
+      "LAMELLAR_METRICS must be quiet|summary|json, got: " + s);
 }
 
 RouteMode parse_route_mode(const std::string& s) {
@@ -168,8 +166,6 @@ RuntimeConfig RuntimeConfig::from_env() {
   cfg.trace_ring_capacity =
       env_size("LAMELLAR_TRACE_CAPACITY", cfg.trace_ring_capacity);
   cfg.trace_sample = env_u64("LAMELLAR_TRACE_SAMPLE", cfg.trace_sample);
-  cfg.trace_per_pe =
-      env_u64("LAMELLAR_TRACE_PER_PE", cfg.trace_per_pe ? 1 : 0) != 0;
   cfg.metrics_interval_ms =
       env_u64("LAMELLAR_METRICS_INTERVAL_MS", cfg.metrics_interval_ms);
   cfg.metrics_file = env_str("LAMELLAR_METRICS_FILE", cfg.metrics_file);

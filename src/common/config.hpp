@@ -12,11 +12,10 @@
 namespace lamellar {
 
 /// What the metrics registry does with collected counters at end of run.
-/// Collection itself is on in every mode except kOff (relaxed atomics on
-/// padded cache lines — cheap enough to leave on), so tests and benches can
-/// always read `world.metrics_snapshot()`.
+/// Collection itself is always on (relaxed atomics on padded cache lines —
+/// cheap enough to leave on), so tests and benches can always read
+/// `world.metrics_snapshot()`.
 enum class MetricsMode {
-  kOff,      ///< registries disabled: zero entries, zero hot-path cost
   kQuiet,    ///< collect, but print nothing (default)
   kSummary,  ///< collect + per-PE summary table on stderr at teardown
   kJson,     ///< collect + JSON dump on stderr at teardown
@@ -65,13 +64,16 @@ struct RuntimeConfig {
   /// Seed for all deterministic randomness.
   std::uint64_t seed = 42;
 
-  /// Metrics collection/reporting mode (env: LAMELLAR_METRICS=
-  /// off|quiet|summary|json; default quiet — collect, print nothing).
+  /// Metrics reporting mode (env: LAMELLAR_METRICS=quiet|summary|json;
+  /// default quiet — collect, print nothing).
   MetricsMode metrics_mode = MetricsMode::kQuiet;
 
   /// When non-empty, export a Chrome trace_event JSON file here at end of
   /// run (env: LAMELLAR_TRACE_FILE=<path>; default off).  Load the file in
   /// chrome://tracing or https://ui.perfetto.dev.
+  /// Under the mmap backend each process writes its own PE's events to the
+  /// per-PE sibling path ("trace.json" -> "trace.pe0.json", ...);
+  /// tools/trace_stitch.py merges and verifies such files.
   std::string trace_file;
 
   /// Per-thread trace ring capacity in events, rounded up to a power of
@@ -85,12 +87,6 @@ struct RuntimeConfig {
   /// emit Chrome flow events when the trace collector is on
   /// (env: LAMELLAR_TRACE_SAMPLE).
   std::uint64_t trace_sample = 0;
-
-  /// When true and a trace file is configured, write one trace file per PE
-  /// ("trace.json" -> "trace.pe0.json", ...) instead of one combined file;
-  /// tools/trace_stitch.py merges and verifies them
-  /// (env: LAMELLAR_TRACE_PER_PE=1; default off).
-  bool trace_per_pe = false;
 
   /// Background telemetry sampling interval in milliseconds: 0 disables
   /// (default); otherwise a low-rate sampler thread appends one JSONL line

@@ -12,7 +12,7 @@ ThreadPool::ThreadPool(std::size_t num_workers, ProgressHook progress,
     : progress_(std::move(progress)), park_timeout_(park_timeout) {
   obs::MetricsRegistry& reg = obs.registry != nullptr
                                   ? *obs.registry
-                                  : obs::MetricsRegistry::disabled_instance();
+                                  : obs::MetricsRegistry::process_instance();
   tasks_spawned_ = &reg.counter("sched.tasks_spawned");
   tasks_executed_ = &reg.counter("sched.tasks_executed");
   tasks_stolen_ = &reg.counter("sched.tasks_stolen");

@@ -14,9 +14,8 @@ MpProcessRuntime::MpProcessRuntime(const std::string& segment_name, pe_id pe,
       tracer_(!cfg_.trace_file.empty(), cfg_.trace_ring_capacity) {
   // Each process writes its own files: siblings are separate processes, so
   // unlike the in-process group there is no shared collector to merge into.
-  cfg_.trace_per_pe = true;
-  if (!cfg_.metrics_file.empty()) {
-    cfg_.metrics_file = obs::per_pe_path(cfg_.metrics_file, pe);
+  for (std::string* path : {&cfg_.trace_file, &cfg_.metrics_file}) {
+    if (!path->empty()) *path = obs::per_pe_path(*path, pe);
   }
 
   auto lam = std::make_unique<MmapLamellae>(segment_name, pe, cfg_);
@@ -53,8 +52,7 @@ void MpProcessRuntime::finish() {
   if (finished_) return;
   finished_ = true;
   if (telemetry_) telemetry_->stop();
-  write_run_reports(cfg_, {world_->metrics_snapshot()}, tracer_,
-                    world_->my_pe());
+  write_run_reports(cfg_, {world_->metrics_snapshot()}, tracer_);
   // Workers poll the engine through the idle hook; they must be joined
   // before World's members destruct (same ordering WorldGroup's destructor
   // enforces for the in-process backend).

@@ -81,8 +81,8 @@ std::size_t OneSidedRegistry::live() const {
 // ---- World ----
 
 World::World(WorldBackend& backend, std::unique_ptr<Lamellae> lamellae,
-             pe_id pe, WorldGroup* group)
-    : backend_(backend), group_(group), lamellae_(std::move(lamellae)) {
+             pe_id pe)
+    : backend_(backend), lamellae_(std::move(lamellae)) {
   // The pool's idle hook needs the engine, which needs the pool: break the
   // cycle with a deferred indirection.  The slot is atomic because workers
   // start polling it before the engine exists; the release store at the end
@@ -108,14 +108,6 @@ World::World(WorldBackend& backend, std::unique_ptr<Lamellae> lamellae,
 }
 
 const RuntimeConfig& World::config() const { return backend_.config(); }
-
-WorldGroup& World::group() {
-  if (group_ == nullptr) {
-    throw Error("World::group: no in-process WorldGroup under a "
-                "process-separated backend");
-  }
-  return *group_;
-}
 
 void World::barrier() {
   engine_->flush();
@@ -176,26 +168,18 @@ void World::finalize() {
 
 // ---- WorldGroup ----
 
-namespace {
-ShmemLamellaeGroup::Layout layout_from(const RuntimeConfig& cfg) {
-  ShmemLamellaeGroup::Layout layout;
-  layout.symmetric_bytes = cfg.symmetric_heap_bytes;
-  layout.onesided_bytes = cfg.onesided_heap_bytes;
-  return layout;
-}
-}  // namespace
-
 WorldGroup::WorldGroup(std::size_t num_pes, RuntimeConfig cfg,
                        PerfParams params, PeMapping mapping, bool virtual_time)
     : cfg_(cfg),
       tracer_(!cfg.trace_file.empty(), cfg.trace_ring_capacity),
-      lamellae_group_(num_pes, layout_from(cfg), params, mapping, virtual_time,
-                      cfg.metrics_mode != MetricsMode::kOff),
+      lamellae_group_(num_pes,
+                      {cfg.symmetric_heap_bytes, cfg.onesided_heap_bytes},
+                      params, mapping, virtual_time),
       team_seq_(num_pes, 0) {
   worlds_.reserve(num_pes);
   for (pe_id pe = 0; pe < num_pes; ++pe) {
-    worlds_.push_back(std::make_unique<World>(
-        *this, lamellae_group_.endpoint(pe), pe, this));
+    worlds_.push_back(
+        std::make_unique<World>(*this, lamellae_group_.endpoint(pe), pe));
   }
   // Each world starts with the all-PEs team.
   std::vector<pe_id> all(num_pes);
@@ -228,30 +212,20 @@ void WorldGroup::emit_reports() {
   if (reports_emitted_) return;
   reports_emitted_ = true;
   if (telemetry_) telemetry_->stop();  // final tick before the reports
-  write_run_reports(cfg_, metrics_snapshots(), tracer_, 0);
+  write_run_reports(cfg_, metrics_snapshots(), tracer_);
 }
 
 void write_run_reports(const RuntimeConfig& cfg,
                        const std::vector<obs::MetricsSnapshot>& snaps,
-                       const obs::TraceCollector& tracer, pe_id first_pe) {
+                       const obs::TraceCollector& tracer) {
   if (cfg.metrics_mode == MetricsMode::kSummary) {
     obs::print_summary(stderr, snaps);
   } else if (cfg.metrics_mode == MetricsMode::kJson) {
     obs::print_json(stderr, snaps);
   }
-  if (cfg.trace_file.empty()) return;
-  auto write = [&](const std::string& path, std::int64_t pe_filter) {
-    if (!tracer.write_chrome_json(path, pe_filter)) {
-      std::fprintf(stderr, "lamellar: failed to write trace file %s\n",
-                   path.c_str());
-    }
-  };
-  if (!cfg.trace_per_pe) {
-    write(cfg.trace_file, -1);
-    return;
-  }
-  for (pe_id pe = first_pe; pe < first_pe + snaps.size(); ++pe) {
-    write(obs::per_pe_path(cfg.trace_file, pe), static_cast<std::int64_t>(pe));
+  if (!cfg.trace_file.empty() && !tracer.write_chrome_json(cfg.trace_file)) {
+    std::fprintf(stderr, "lamellar: failed to write trace file %s\n",
+                 cfg.trace_file.c_str());
   }
 }
 

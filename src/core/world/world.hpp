@@ -1,8 +1,9 @@
 // LamellarWorld: the top-level per-PE runtime handle (paper Sec. III,
 // Listing 1).
 //
-// A WorldGroup owns the whole in-process "cluster": the shared fabric, one
-// Lamellae endpoint + work-stealing pool + AM engine + Darc manager per PE.
+// A WorldGroup owns the whole in-process "cluster": the state its PEs share
+// (ShmemLamellaeGroup), and one World per PE, which owns that PE's Lamellae
+// endpoint + work-stealing pool + AM engine + Darc manager.
 // `run_world(npes, fn)` launches one SPMD "main" thread per PE — the
 // in-process equivalent of the paper's slurm-launched processes — and tears
 // everything down with the paper's implicit-finalization semantics: each
@@ -80,11 +81,7 @@ class OneSidedRegistry {
 
 class World {
  public:
-  /// `group` may be null: it is the in-process WorldGroup when the backend
-  /// is one (kept for tests that inspect the shared fabric), and null under
-  /// process-separated backends.
-  World(WorldBackend& backend, std::unique_ptr<Lamellae> lamellae, pe_id pe,
-        WorldGroup* group = nullptr);
+  World(WorldBackend& backend, std::unique_ptr<Lamellae> lamellae, pe_id pe);
   ~World() = default;
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -162,10 +159,6 @@ class World {
   [[nodiscard]] const RuntimeConfig& config() const;
   WorldBackend& backend() { return backend_; }
 
-  /// The in-process WorldGroup, when this world was launched by one.
-  /// Throws under process-separated backends (use backend() there).
-  WorldGroup& group();
-
   /// This PE's time in ns (Lamellae::now()): modeled time under virtual
   /// time, real steady-clock time otherwise.
   [[nodiscard]] sim_nanos time_ns() { return lamellae_->now(); }
@@ -173,7 +166,7 @@ class World {
   // ---- observability ----
 
   /// This PE's metrics registry (live handles; register your own via
-  /// counter()/gauge()/histogram()).  Inert when LAMELLAR_METRICS=off.
+  /// counter()/gauge()/histogram()).
   obs::MetricsRegistry& metrics() { return lamellae_->metrics(); }
 
   /// Point-in-time plain-struct copy of every metric on this PE.
@@ -200,7 +193,6 @@ class World {
   friend class MpProcessRuntime;
 
   WorldBackend& backend_;
-  WorldGroup* group_ = nullptr;
   std::unique_ptr<Lamellae> lamellae_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<AmEngine> engine_;
@@ -226,7 +218,6 @@ class WorldGroup : public WorldBackend {
 
   [[nodiscard]] std::size_t num_pes() const { return worlds_.size(); }
   World& world(pe_id pe) { return *worlds_[pe]; }
-  ShmemLamellaeGroup& lamellae_group() { return lamellae_group_; }
   [[nodiscard]] const RuntimeConfig& config() const override { return cfg_; }
 
   /// Group-wide trace collector; null object pattern not used — may be
@@ -249,6 +240,9 @@ class WorldGroup : public WorldBackend {
   RuntimeConfig cfg_;
   obs::TraceCollector tracer_;  // before lamellae_group_: outlives workers
   ShmemLamellaeGroup lamellae_group_;
+  /// Each World owns its PE's endpoint, and so that PE's metrics registry:
+  /// the destructor joins every pool and writes the reports before these
+  /// are destroyed.
   std::vector<std::unique_ptr<World>> worlds_;
   /// Background time-series sampler (LAMELLAR_METRICS_INTERVAL_MS); null
   /// when disabled.  Declared after worlds_: its thread snapshots them, so
@@ -266,12 +260,12 @@ class WorldGroup : public WorldBackend {
   std::vector<std::uint64_t> team_seq_;  // per-PE collective team counter
 };
 
-/// The end-of-run reports of PEs [first_pe, first_pe + snaps.size()), for
-/// both backends: the stderr metrics report cfg.metrics_mode asks for, and
-/// the trace in cfg.trace_file, one file per PE when cfg.trace_per_pe.
+/// The end-of-run reports, for both backends: the stderr metrics report
+/// cfg.metrics_mode asks for over `snaps`, and `tracer`'s trace in
+/// cfg.trace_file.
 void write_run_reports(const RuntimeConfig& cfg,
                        const std::vector<obs::MetricsSnapshot>& snaps,
-                       const obs::TraceCollector& tracer, pe_id first_pe);
+                       const obs::TraceCollector& tracer);
 
 /// Run an SPMD function on `npes` in-process PEs: the equivalent of
 /// launching the paper's binary under slurm with `npes` processes.

@@ -13,18 +13,36 @@ namespace lamellar {
 static_assert(std::atomic_ref<std::uint64_t>::is_always_lock_free,
               "cross-process remote atomics need lock-free atomic_ref");
 
+FabricCounters::FabricCounters(obs::MetricsRegistry& reg)
+    : puts(&reg.counter("fabric.puts")),
+      gets(&reg.counter("fabric.gets")),
+      atomics(&reg.counter("fabric.atomics")),
+      bytes_put(&reg.counter("fabric.bytes_put")),
+      bytes_get(&reg.counter("fabric.bytes_get")),
+      msgs_sent(&reg.counter("fabric.msgs_sent")),
+      msgs_polled(&reg.counter("fabric.msgs_polled")),
+      bytes_sent(&reg.counter("fabric.bytes_sent")),
+      barriers(&reg.counter("fabric.barriers")) {}
+
+Lamellae::Lamellae(pe_id pe, std::size_t num_pes, ArenaLayout layout)
+    : fabric_counters_(metrics_),
+      pe_(pe),
+      num_pes_(num_pes),
+      layout_(layout),
+      onesided_heap_(layout.onesided_base(), layout.onesided_bytes) {}
+
 std::byte* Lamellae::checked(pe_id pe, std::size_t offset,
                              std::size_t len) const {
-  check_pe("RDMA", pe, num_pes());
-  const std::span<std::byte> a = arena(pe);
+  check_pe("RDMA", pe, num_pes_);
+  const std::size_t size = layout_.total();
   // Written so that no sum can wrap past the arena's end.
-  if (len > a.size() || offset > a.size() - len) {
+  if (len > size || offset > size - len) {
     throw BoundsError("RDMA: [" + std::to_string(offset) + ", +" +
                       std::to_string(len) + ") outside PE " +
-                      std::to_string(pe) + "'s " + std::to_string(a.size()) +
+                      std::to_string(pe) + "'s " + std::to_string(size) +
                       "-byte arena");
   }
-  return a.data() + offset;
+  return arena(pe) + offset;
 }
 
 void Lamellae::put(pe_id dst, std::size_t dst_offset,

@@ -4,11 +4,12 @@
 // Exactly as in the paper, a Lamellae knows how to (de)initialize, report PE
 // identity, (de)allocate RDMA memory regions, perform remote put/get
 // transfers, run barriers, and move serialized message buffers between PEs.
-// Implementations here: ShmemLamellae (PEs as threads, in-process arenas
-// over ShmemFabric — models both the paper's ROFI and Shmem lamellae, with a
+// Implementations here: ShmemLamellae (PEs as threads over in-process
+// arenas — models both the paper's ROFI and Shmem lamellae, with a
 // PeMapping deciding which transfers are "inter-node"; a one-PE group plays
 // the paper's SMP lamellae) and MmapLamellae (one forked process per PE over
-// a shared segment).
+// a shared segment).  The base holds what every PE's endpoint owns on both
+// backends: its identity, its metrics registry and its one-sided heap.
 #pragma once
 
 #include <atomic>
@@ -19,8 +20,10 @@
 #include "common/buffer_pool.hpp"
 #include "common/bytes.hpp"
 #include "common/types.hpp"
+#include "fabric/barrier.hpp"
 #include "fabric/perf_model.hpp"
-#include "fabric/shmem_fabric.hpp"
+#include "lamellae/heap.hpp"
+#include "obs/metrics.hpp"
 
 namespace lamellar {
 
@@ -33,17 +36,55 @@ inline constexpr std::size_t kReservedArenaBytes = 4096;
 /// World::quiesce_round adds every PE's outstanding work into.
 inline constexpr std::size_t kQuiesceCountOffset = 0;
 
+/// The split of every PE's arena: [reserved page | symmetric heap |
+/// one-sided heap].  Every PE's arena has this one layout.
+struct ArenaLayout {
+  std::size_t symmetric_bytes = std::size_t{64} * 1024 * 1024;
+  std::size_t onesided_bytes = std::size_t{32} * 1024 * 1024;
+
+  [[nodiscard]] std::size_t onesided_base() const {
+    return kReservedArenaBytes + symmetric_bytes;
+  }
+  [[nodiscard]] std::size_t total() const {
+    return onesided_base() + onesided_bytes;
+  }
+};
+
+/// A serialized message in flight between two PEs.
+struct FabricMessage {
+  pe_id src = 0;
+  sim_nanos arrival_time = 0;
+  ByteBuffer payload;
+};
+
+/// Handles on one PE's `fabric.*` transport counters, the names both
+/// backends share.  Resolved once at construction; ops update them with
+/// relaxed atomics (no name lookups on the data path).
+struct FabricCounters {
+  explicit FabricCounters(obs::MetricsRegistry& reg);
+  obs::Counter* puts;
+  obs::Counter* gets;
+  obs::Counter* atomics;
+  obs::Counter* bytes_put;
+  obs::Counter* bytes_get;
+  obs::Counter* msgs_sent;
+  obs::Counter* msgs_polled;
+  obs::Counter* bytes_sent;
+  obs::Counter* barriers;
+};
+
 class Lamellae {
  public:
   virtual ~Lamellae() = default;
   Lamellae(const Lamellae&) = delete;
   Lamellae& operator=(const Lamellae&) = delete;
 
-  [[nodiscard]] virtual pe_id my_pe() const = 0;
-  [[nodiscard]] virtual std::size_t num_pes() const = 0;
+  [[nodiscard]] pe_id my_pe() const { return pe_; }
+  [[nodiscard]] std::size_t num_pes() const { return num_pes_; }
+  [[nodiscard]] const ArenaLayout& layout() const { return layout_; }
 
   /// Base of this PE's registered memory arena.
-  std::byte* base() { return arena(my_pe()).data(); }
+  std::byte* base() { return arena(pe_); }
 
   // ---- RDMA memory-region management ----
 
@@ -69,8 +110,14 @@ class Lamellae {
                                     std::size_t participants) = 0;
 
   /// One-sided allocation from this PE's dynamic heap.
-  virtual std::size_t alloc_onesided(std::size_t bytes, std::size_t align) = 0;
-  virtual void free_onesided(std::size_t offset) = 0;
+  std::size_t alloc_onesided(std::size_t bytes, std::size_t align) {
+    return onesided_heap_.alloc(bytes, align);
+  }
+  void free_onesided(std::size_t offset) { onesided_heap_.free(offset); }
+
+  /// This PE's one-sided heap (the stress harness checks it at quiesce
+  /// points).  It is internally locked.
+  OffsetHeap& onesided_heap() { return onesided_heap_; }
 
   // ---- RDMA transfers (unsafe tier: no access control) ----
   //
@@ -129,8 +176,8 @@ class Lamellae {
   /// otherwise.
   [[nodiscard]] virtual sim_nanos now() const { return real_now_ns(); }
 
-  /// This PE's metrics registry (observability layer).  Always valid; an
-  /// inert registry is returned when metrics are disabled.
+  /// This PE's metrics registry (observability layer): the home of every
+  /// runtime counter on this PE.
   obs::MetricsRegistry& metrics() { return metrics_; }
 
   [[nodiscard]] virtual const PerfParams& params() const = 0;
@@ -143,9 +190,7 @@ class Lamellae {
   [[nodiscard]] virtual std::size_t pes_per_node() const { return 1; }
 
  protected:
-  /// `metrics` is this PE's registry; it must outlive the endpoint.
-  explicit Lamellae(obs::MetricsRegistry& metrics)
-      : fabric_counters_(metrics), metrics_(metrics) {}
+  Lamellae(pe_id pe, std::size_t num_pes, ArenaLayout layout);
 
   [[nodiscard]] static sim_nanos real_now_ns() {
     return static_cast<sim_nanos>(
@@ -157,8 +202,9 @@ class Lamellae {
   /// The RDMA accesses the cost model tells apart.
   enum class Access { kTransfer, kPipelined, kAtomic };
 
-  /// PE `pe`'s arena as mapped in this process; every PE's has one size.
-  [[nodiscard]] virtual std::span<std::byte> arena(pe_id pe) const = 0;
+  /// Base of PE `pe`'s arena as mapped in this process; every arena is
+  /// layout().total() bytes.
+  [[nodiscard]] virtual std::byte* arena(pe_id pe) const = 0;
 
   /// Modeled time one access of `bytes` into `peer`'s arena costs this PE.
   /// Backends that run on real time charge nothing.
@@ -167,6 +213,9 @@ class Lamellae {
     return 0.0;
   }
 
+  /// This PE's registry; declared first, since fabric_counters_ resolves
+  /// its handles here.
+  obs::MetricsRegistry metrics_;
   /// This PE's `fabric.*` counters; backends count messages and barriers
   /// here too.
   FabricCounters fabric_counters_;
@@ -180,7 +229,10 @@ class Lamellae {
   /// The checked, charged and counted word one remote atomic acts on.
   std::atomic_ref<std::uint64_t> atomic_word(pe_id pe, std::size_t offset);
 
-  obs::MetricsRegistry& metrics_;
+  const pe_id pe_;
+  const std::size_t num_pes_;
+  const ArenaLayout layout_;
+  OffsetHeap onesided_heap_;
 };
 
 }  // namespace lamellar

@@ -217,24 +217,11 @@ std::vector<std::string> MmapSegment::segments_of(std::int32_t creator) {
 // MmapLamellae (child side)
 // ---------------------------------------------------------------------------
 
-MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
-                           const RuntimeConfig& cfg)
-    : MmapLamellae(segment_name, pe, cfg,
-                   std::make_unique<obs::MetricsRegistry>(
-                       cfg.metrics_mode != MetricsMode::kOff)) {}
-
-MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
-                           const RuntimeConfig& cfg,
-                           std::unique_ptr<obs::MetricsRegistry> registry)
-    : Lamellae(*registry),
-      name_(segment_name),
-      pe_(pe),
-      barrier_timeout_ms_(cfg.mp_barrier_timeout_ms),
-      params_(paper_perf_params()),
-      registry_(std::move(registry)) {
-  const int fd = shm_open(name_.c_str(), O_RDWR, 0);
+MmapLamellae::Mapping MmapLamellae::map_segment(const std::string& name,
+                                                pe_id pe) {
+  const int fd = shm_open(name.c_str(), O_RDWR, 0);
   if (fd < 0) {
-    throw Error("MmapLamellae: shm_open(" + name_ +
+    throw Error("MmapLamellae: shm_open(" + name +
                 ") failed: " + std::strerror(errno));
   }
   struct stat st{};
@@ -243,43 +230,51 @@ MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
     throw Error("MmapLamellae: fstat failed: " +
                 std::string(std::strerror(errno)));
   }
-  map_bytes_ = static_cast<std::size_t>(st.st_size);
-  void* map = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED,
-                   fd, 0);
+  Mapping m;
+  m.bytes = static_cast<std::size_t>(st.st_size);
+  void* map = mmap(nullptr, m.bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd,
+                   0);
   close(fd);
   if (map == MAP_FAILED) {
     throw Error("MmapLamellae: mmap failed: " +
                 std::string(std::strerror(errno)));
   }
-  map_ = static_cast<std::byte*>(map);
-  ctl_ = reinterpret_cast<mpshm::MpControl*>(map_);
-  if (ctl_->magic != mpshm::kMagic || ctl_->version != mpshm::kVersion) {
-    munmap(map_, map_bytes_);
-    throw Error("MmapLamellae: " + name_ + " is not a valid segment");
+  m.base = static_cast<std::byte*>(map);
+  if (m.ctl().magic != mpshm::kMagic || m.ctl().version != mpshm::kVersion) {
+    munmap(map, m.bytes);
+    throw Error("MmapLamellae: " + name + " is not a valid segment");
   }
-  num_pes_ = ctl_->num_pes;
-  if (pe_ >= num_pes_) {
-    munmap(map_, map_bytes_);
-    throw Error("MmapLamellae: pe " + std::to_string(pe_) + " out of range");
+  if (pe >= m.ctl().num_pes) {
+    munmap(map, m.bytes);
+    throw Error("MmapLamellae: pe " + std::to_string(pe) + " out of range");
   }
+  return m;
+}
 
-  // Heap replicas over this PE's arena: [reserved | symmetric | onesided].
-  symmetric_heap_ = std::make_unique<OffsetHeap>(kReservedArenaBytes,
-                                                 ctl_->symmetric_bytes);
-  onesided_heap_ = std::make_unique<OffsetHeap>(
-      kReservedArenaBytes + ctl_->symmetric_bytes, ctl_->onesided_bytes);
-  buffer_pool_ = std::make_unique<BufferPool>(lane_pool_bound(num_pes_));
+MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
+                           const RuntimeConfig& cfg)
+    : MmapLamellae(map_segment(segment_name, pe), segment_name, pe, cfg) {}
 
-  send_mu_.reserve(num_pes_);
-  for (std::size_t i = 0; i < num_pes_; ++i) {
+MmapLamellae::MmapLamellae(Mapping map, const std::string& segment_name,
+                           pe_id pe, const RuntimeConfig& cfg)
+    : Lamellae(pe, map.ctl().num_pes,
+               {map.ctl().symmetric_bytes, map.ctl().onesided_bytes}),
+      name_(segment_name),
+      map_(map.base),
+      map_bytes_(map.bytes),
+      ctl_(&map.ctl()),
+      barrier_timeout_ms_(cfg.mp_barrier_timeout_ms),
+      symmetric_heap_(kReservedArenaBytes, layout().symmetric_bytes),
+      buffer_pool_(lane_pool_bound(num_pes())),
+      params_(paper_perf_params()),
+      backpressure_waits_(&metrics().counter("mp.backpressure_waits")),
+      ring_wakes_(&metrics().counter("mp.ring_wakes")),
+      barrier_futex_waits_(&metrics().counter("mp.barrier_futex_waits")) {
+  send_mu_.reserve(num_pes());
+  for (std::size_t i = 0; i < num_pes(); ++i) {
     send_mu_.push_back(std::make_unique<std::mutex>());
   }
-
-  backpressure_waits_ = &metrics().counter("mp.backpressure_waits");
-  ring_wakes_ = &metrics().counter("mp.ring_wakes");
-  barrier_futex_waits_ = &metrics().counter("mp.barrier_futex_waits");
-
-  auto& me = slot(pe_);
+  auto& me = slot(pe);
   me.pid.store(getpid(), std::memory_order_relaxed);
   me.state.store(mpshm::kJoined, std::memory_order_release);
 }
@@ -291,7 +286,7 @@ MmapLamellae::~MmapLamellae() {
 
 void MmapLamellae::mark_exited() {
   if (ctl_ == nullptr) return;
-  auto& me = slot(pe_);
+  auto& me = slot(my_pe());
   std::uint32_t expected = mpshm::kJoined;
   if (me.state.compare_exchange_strong(expected, mpshm::kExited,
                                        std::memory_order_acq_rel)) {
@@ -308,22 +303,22 @@ std::size_t MmapLamellae::alloc_symmetric(std::size_t bytes,
   // No communication: every PE's replica performs the identical sequence of
   // collective alloc/free calls (the SPMD contract in lamellae.hpp), so each
   // computes the same offset locally.
-  return symmetric_heap_->alloc(bytes, align);
+  return symmetric_heap_.alloc(bytes, align);
 }
 
 void MmapLamellae::free_symmetric(std::size_t offset) {
-  symmetric_heap_->free(offset);
+  symmetric_heap_.free(offset);
 }
 
 std::size_t MmapLamellae::alloc_symmetric_group(std::uint64_t /*key*/,
                                                 std::size_t participants,
                                                 std::size_t bytes,
                                                 std::size_t align) {
-  if (participants != num_pes_) {
+  if (participants != num_pes()) {
     throw Error(
         "MmapLamellae: team-scoped symmetric allocation needs the full world "
         "(replicated-heap determinism breaks when only " +
-        std::to_string(participants) + " of " + std::to_string(num_pes_) +
+        std::to_string(participants) + " of " + std::to_string(num_pes()) +
         " PEs allocate); split teams are unsupported under "
         "LAMELLAR_BACKEND=mmap");
   }
@@ -332,25 +327,16 @@ std::size_t MmapLamellae::alloc_symmetric_group(std::uint64_t /*key*/,
 
 void MmapLamellae::free_symmetric_group(std::size_t offset,
                                         std::size_t participants) {
-  if (participants != num_pes_) {
+  if (participants != num_pes()) {
     throw Error("MmapLamellae: team-scoped symmetric free is unsupported");
   }
   free_symmetric(offset);
 }
 
-std::size_t MmapLamellae::alloc_onesided(std::size_t bytes,
-                                         std::size_t align) {
-  return onesided_heap_->alloc(bytes, align);
-}
-
-void MmapLamellae::free_onesided(std::size_t offset) {
-  onesided_heap_->free(offset);
-}
-
 // ---- message transport ----------------------------------------------------
 
 bool MmapLamellae::try_send(pe_id dst, ByteBuffer& buf) {
-  check_pe("mmap send", dst, num_pes_);
+  check_pe("mmap send", dst, num_pes());
   const std::size_t n = buf.size();
   const std::size_t need = record_bytes(n);
   const std::size_t cap = ctl_->ring_bytes;
@@ -360,7 +346,7 @@ bool MmapLamellae::try_send(pe_id dst, ByteBuffer& buf) {
                 "-byte ring; raise LAMELLAR_MP_RING");
   }
   std::lock_guard lk(*send_mu_[dst]);
-  auto& hdr = ring_hdr(dst, pe_);
+  auto& hdr = ring_hdr(dst, my_pe());
   const std::uint64_t tail = hdr.tail.load(std::memory_order_relaxed);
   std::uint64_t head = hdr.head.load(std::memory_order_acquire);
   if (tail + need - head > cap) {
@@ -377,7 +363,7 @@ bool MmapLamellae::try_send(pe_id dst, ByteBuffer& buf) {
     head = hdr.head.load(std::memory_order_acquire);
     if (tail + need - head > cap) return false;  // caller makes progress
   }
-  std::byte* data = ring_data(dst, pe_);
+  std::byte* data = ring_data(dst, my_pe());
   const std::size_t pos = tail % cap;
   const std::uint64_t len = n;
   std::memcpy(data + pos, &len, sizeof(len));  // never wraps (8-aligned)
@@ -395,13 +381,13 @@ bool MmapLamellae::try_send(pe_id dst, ByteBuffer& buf) {
 bool MmapLamellae::poll(FabricMessage& out) {
   std::lock_guard lk(poll_mu_);
   const std::size_t cap = ctl_->ring_bytes;
-  for (std::size_t i = 0; i < num_pes_; ++i) {
-    const pe_id src = (poll_cursor_ + i) % num_pes_;
-    auto& hdr = ring_hdr(pe_, src);
+  for (std::size_t i = 0; i < num_pes(); ++i) {
+    const pe_id src = (poll_cursor_ + i) % num_pes();
+    auto& hdr = ring_hdr(my_pe(), src);
     const std::uint64_t head = hdr.head.load(std::memory_order_relaxed);
     const std::uint64_t tail = hdr.tail.load(std::memory_order_acquire);
     if (head == tail) continue;
-    const std::byte* data = ring_data(pe_, src);
+    const std::byte* data = ring_data(my_pe(), src);
     const std::size_t pos = head % cap;
     std::uint64_t len = 0;
     std::memcpy(&len, data + pos, sizeof(len));
@@ -420,7 +406,7 @@ bool MmapLamellae::poll(FabricMessage& out) {
     }
     out.src = src;
     out.payload = ByteBuffer(std::move(payload));
-    poll_cursor_ = (src + 1) % num_pes_;
+    poll_cursor_ = (src + 1) % num_pes();
     fabric_counters_.msgs_polled->inc();
     return true;
   }
@@ -428,8 +414,8 @@ bool MmapLamellae::poll(FabricMessage& out) {
 }
 
 bool MmapLamellae::inbox_empty() const {
-  for (std::size_t src = 0; src < num_pes_; ++src) {
-    const auto& hdr = ring_hdr(pe_, src);
+  for (std::size_t src = 0; src < num_pes(); ++src) {
+    const auto& hdr = ring_hdr(my_pe(), src);
     if (hdr.head.load(std::memory_order_acquire) !=
         hdr.tail.load(std::memory_order_acquire)) {
       return false;
@@ -467,7 +453,7 @@ void MmapLamellae::barrier() {
       ctl_->bar_word.fetch_add(1, std::memory_order_acq_rel);
   const std::uint32_t gen = static_cast<std::uint32_t>(prev >> 32);
   const std::uint32_t arrived = static_cast<std::uint32_t>(prev) + 1;
-  slot(pe_).bar_seen.store(gen + 1, std::memory_order_release);
+  slot(my_pe()).bar_seen.store(gen + 1, std::memory_order_release);
   if (arrived == ctl_->num_pes) {
     ctl_->bar_word.store(static_cast<std::uint64_t>(gen + 1) << 32,
                          std::memory_order_release);
@@ -486,8 +472,8 @@ void MmapLamellae::barrier() {
     if (ctl_->bar_gen.load(std::memory_order_acquire) != gen) return;
     // Liveness sweep: a peer that died (or cleanly exited) without arriving
     // will never arrive — abort with its name instead of hanging.
-    for (pe_id p = 0; p < num_pes_; ++p) {
-      if (p == pe_) continue;
+    for (pe_id p = 0; p < num_pes(); ++p) {
+      if (p == my_pe()) continue;
       const auto& s = slot(p);
       if (s.bar_seen.load(std::memory_order_acquire) > gen) continue;
       const std::uint32_t st = s.state.load(std::memory_order_acquire);
@@ -505,11 +491,11 @@ void MmapLamellae::barrier() {
     }
     if (now_ms() > deadline) {
       std::string stragglers;
-      pe_id first = pe_;
-      for (pe_id p = 0; p < num_pes_; ++p) {
-        if (p == pe_ || slot(p).bar_seen.load(std::memory_order_acquire) > gen)
+      pe_id first = my_pe();
+      for (pe_id p = 0; p < num_pes(); ++p) {
+        if (p == my_pe() || slot(p).bar_seen.load(std::memory_order_acquire) > gen)
           continue;
-        if (first == pe_) first = p;
+        if (first == my_pe()) first = p;
         stragglers += (stragglers.empty() ? "" : ", ") + std::to_string(p);
       }
       abort_barrier(first, "timed out after " +
@@ -521,7 +507,7 @@ void MmapLamellae::barrier() {
 }
 
 void MmapLamellae::barrier(SenseBarrier& team, std::size_t /*rank*/) {
-  if (team.participants() != num_pes_) {
+  if (team.participants() != num_pes()) {
     throw Error("Team::barrier: sub-team barrier under a process-separated "
                 "backend");
   }

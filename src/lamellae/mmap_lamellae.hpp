@@ -85,8 +85,7 @@ struct MpControl {
   std::uint64_t arena_stride = 0;
   std::uint64_t arena_bytes = 0;
   std::uint64_t total_bytes = 0;
-  // Heap split above each arena's reserved page (mirrors
-  // ShmemLamellaeGroup::Layout).
+  // Heap split above each arena's reserved page (an ArenaLayout).
   std::uint64_t symmetric_bytes = 0;
   std::uint64_t onesided_bytes = 0;
   // Central barrier: bar_word packs (generation << 32) | arrived; bar_gen
@@ -152,9 +151,6 @@ class MmapLamellae final : public Lamellae {
                const RuntimeConfig& cfg);
   ~MmapLamellae() override;
 
-  [[nodiscard]] pe_id my_pe() const override { return pe_; }
-  [[nodiscard]] std::size_t num_pes() const override { return num_pes_; }
-
   std::size_t alloc_symmetric(std::size_t bytes, std::size_t align) override;
   void free_symmetric(std::size_t offset) override;
   std::size_t alloc_symmetric_group(std::uint64_t key,
@@ -163,13 +159,11 @@ class MmapLamellae final : public Lamellae {
                                     std::size_t align) override;
   void free_symmetric_group(std::size_t offset,
                             std::size_t participants) override;
-  std::size_t alloc_onesided(std::size_t bytes, std::size_t align) override;
-  void free_onesided(std::size_t offset) override;
 
   bool try_send(pe_id dst, ByteBuffer& buf) override;
   bool poll(FabricMessage& out) override;
   [[nodiscard]] bool inbox_empty() const override;
-  BufferPool& buffer_pool(pe_id) override { return *buffer_pool_; }
+  BufferPool& buffer_pool(pe_id) override { return buffer_pool_; }
 
   void barrier() override;
   /// Only the full-world team can meet here, in the segment's world
@@ -179,25 +173,32 @@ class MmapLamellae final : public Lamellae {
   [[nodiscard]] const PerfParams& params() const override { return params_; }
   /// Real processes run on real time: there is no modeled time to charge.
   void charge(double) override {}
-  [[nodiscard]] std::size_t pes_per_node() const override { return num_pes_; }
+  [[nodiscard]] std::size_t pes_per_node() const override {
+    return num_pes();
+  }
 
   /// Clean detach: publish kExited so peers stop expecting this PE.
   void mark_exited();
 
-  OffsetHeap& symmetric_heap() { return *symmetric_heap_; }
-  OffsetHeap& onesided_heap() { return *onesided_heap_; }
   [[nodiscard]] const std::string& segment_name() const { return name_; }
 
  private:
-  /// The public constructor builds the registry first, so that the base
-  /// can resolve its counters from it.
-  MmapLamellae(const std::string& segment_name, pe_id pe,
-               const RuntimeConfig& cfg,
-               std::unique_ptr<obs::MetricsRegistry> registry);
+  /// This process's mapping of a segment, checked before the base is
+  /// built: the base takes the world size and arena layout from it.
+  struct Mapping {
+    std::byte* base = nullptr;
+    std::size_t bytes = 0;
+    [[nodiscard]] mpshm::MpControl& ctl() const {
+      return *reinterpret_cast<mpshm::MpControl*>(base);
+    }
+  };
+  /// Map `name` and check its magic, its version and `pe`'s range.
+  static Mapping map_segment(const std::string& name, pe_id pe);
+  MmapLamellae(Mapping map, const std::string& segment_name, pe_id pe,
+               const RuntimeConfig& cfg);
 
-  [[nodiscard]] std::span<std::byte> arena(pe_id pe) const override {
-    return {map_ + ctl_->arenas_off + pe * ctl_->arena_stride,
-            ctl_->arena_bytes};
+  [[nodiscard]] std::byte* arena(pe_id pe) const override {
+    return map_ + ctl_->arenas_off + pe * ctl_->arena_stride;
   }
   mpshm::MpPeSlot& slot(pe_id pe) const {
     return *reinterpret_cast<mpshm::MpPeSlot*>(map_ + ctl_->slots_off + pe * sizeof(mpshm::MpPeSlot));
@@ -205,19 +206,16 @@ class MmapLamellae final : public Lamellae {
   mpshm::MpRingHdr& ring_hdr(pe_id dst, pe_id src) const {
     return *reinterpret_cast<mpshm::MpRingHdr*>(
         map_ + ctl_->rings_off +
-        (dst * num_pes_ + src) * sizeof(mpshm::MpRingHdr));
+        (dst * num_pes() + src) * sizeof(mpshm::MpRingHdr));
   }
   std::byte* ring_data(pe_id dst, pe_id src) const {
     return map_ + ctl_->ring_data_off +
-           (dst * num_pes_ + src) * ctl_->ring_bytes;
+           (dst * num_pes() + src) * ctl_->ring_bytes;
   }
   [[noreturn]] void abort_barrier(pe_id culprit, const std::string& why);
   [[noreturn]] void rethrow_barrier_abort() const;
 
   std::string name_;
-  pe_id pe_ = 0;
-  std::size_t num_pes_ = 0;
-  int fd_ = -1;
   std::byte* map_ = nullptr;
   std::size_t map_bytes_ = 0;
   mpshm::MpControl* ctl_ = nullptr;
@@ -227,12 +225,10 @@ class MmapLamellae final : public Lamellae {
   // call alloc/free with identical arguments in identical order on every PE
   // (the SPMD contract the paper's runtime also relies on), so each
   // process's replica computes the same offsets with zero communication.
-  std::unique_ptr<OffsetHeap> symmetric_heap_;
-  std::unique_ptr<OffsetHeap> onesided_heap_;
-  std::unique_ptr<BufferPool> buffer_pool_;
+  OffsetHeap symmetric_heap_;
+  BufferPool buffer_pool_;
 
   PerfParams params_;
-  std::unique_ptr<obs::MetricsRegistry> registry_;
 
   // Process-local producer/consumer locks: cross-process safety comes from
   // the ring head/tail protocol; these only serialize threads of THIS

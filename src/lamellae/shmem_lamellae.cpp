@@ -1,22 +1,40 @@
 #include "lamellae/shmem_lamellae.hpp"
 
+#include <sys/mman.h>
+
+#include <new>
+
+#include "common/error.hpp"
+
 namespace lamellar {
 
-ShmemLamellaeGroup::ShmemLamellaeGroup(std::size_t num_pes, Layout layout,
+ShmemLamellaeGroup::Arena::Arena(std::size_t bytes) : bytes_(bytes) {
+  if (bytes == 0) return;
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  base_ = static_cast<std::byte*>(p);
+}
+
+ShmemLamellaeGroup::Arena::~Arena() {
+  if (base_ != nullptr) munmap(base_, bytes_);
+}
+
+ShmemLamellaeGroup::ShmemLamellaeGroup(std::size_t num_pes, ArenaLayout layout,
                                        PerfParams params, PeMapping mapping,
-                                       bool virtual_time, bool metrics_enabled)
+                                       bool virtual_time)
     : layout_(layout),
-      fabric_(num_pes, layout.total(), params, mapping, virtual_time,
-              metrics_enabled),
-      symmetric_heap_(kReservedArenaBytes, layout.symmetric_bytes),
-      alloc_seq_(num_pes) {
-  const std::size_t onesided_base =
-      kReservedArenaBytes + layout.symmetric_bytes;
-  onesided_heaps_.reserve(num_pes);
+      params_(params),
+      mapping_(mapping),
+      virtual_time_(virtual_time),
+      world_barrier_(num_pes),
+      symmetric_heap_(kReservedArenaBytes, layout.symmetric_bytes) {
+  arenas_.reserve(num_pes);
+  inboxes_.reserve(num_pes);
   buffer_pools_.reserve(num_pes);
   for (std::size_t i = 0; i < num_pes; ++i) {
-    onesided_heaps_.push_back(
-        std::make_unique<OffsetHeap>(onesided_base, layout.onesided_bytes));
+    arenas_.emplace_back(layout.total());
+    inboxes_.push_back(std::make_unique<Inbox>());
     buffer_pools_.push_back(
         std::make_unique<BufferPool>(lane_pool_bound(num_pes)));
   }
@@ -26,17 +44,39 @@ std::unique_ptr<ShmemLamellae> ShmemLamellaeGroup::endpoint(pe_id pe) {
   return std::make_unique<ShmemLamellae>(*this, pe);
 }
 
+std::size_t ShmemLamellaeGroup::collective_alloc(std::uint64_t key,
+                                                 std::size_t participants,
+                                                 std::size_t bytes,
+                                                 std::size_t align) {
+  std::lock_guard lock(collective_mu_);
+  auto it = pending_allocs_.find(key);
+  if (it == pending_allocs_.end()) {
+    const std::size_t offset = symmetric_heap_.alloc(bytes, align);
+    if (participants > 1) {
+      pending_allocs_.emplace(key, PendingAlloc{offset, participants - 1});
+    }
+    return offset;
+  }
+  const std::size_t offset = it->second.offset;
+  if (--it->second.remaining == 0) pending_allocs_.erase(it);
+  return offset;
+}
+
 void ShmemLamellaeGroup::collective_free(std::size_t offset,
                                          std::size_t participants) {
-  CollectiveShard& shard = free_shard(offset);
-  std::unique_lock lock(shard.mu);
-  auto [it, inserted] = shard.pending_frees.try_emplace(offset);
+  std::lock_guard lock(collective_mu_);
+  auto [it, inserted] = pending_frees_.try_emplace(offset);
   it->second.participants = participants;
   if (++it->second.calls == participants) {
-    shard.pending_frees.erase(it);
+    pending_frees_.erase(it);
     symmetric_heap_.free(offset);
   }
 }
+
+ShmemLamellae::ShmemLamellae(ShmemLamellaeGroup& group, pe_id pe)
+    : Lamellae(pe, group.num_pes(), group.layout_),
+      group_(group),
+      vtime_charged_ns_(&metrics().counter("fabric.vtime_charged_ns")) {}
 
 std::size_t ShmemLamellae::alloc_symmetric(std::size_t bytes,
                                            std::size_t align) {
@@ -44,29 +84,15 @@ std::size_t ShmemLamellae::alloc_symmetric(std::size_t bytes,
   // space; team collectives pass their own keys via the _group variant.
   // The sequence must match across PEs, so the key carries no PE bits.
   const std::uint64_t key =
-      (1ULL << 63) |
-      group_.alloc_seq_[pe_].fetch_add(1, std::memory_order_relaxed);
-  return alloc_symmetric_group(key, num_pes(), bytes, align);
+      (1ULL << 63) | alloc_seq_.fetch_add(1, std::memory_order_relaxed);
+  return group_.collective_alloc(key, num_pes(), bytes, align);
 }
 
 std::size_t ShmemLamellae::alloc_symmetric_group(std::uint64_t key,
                                                  std::size_t participants,
                                                  std::size_t bytes,
                                                  std::size_t align) {
-  ShmemLamellaeGroup::CollectiveShard& shard = group_.alloc_shard(key);
-  std::unique_lock lock(shard.mu);
-  auto it = shard.pending_allocs.find(key);
-  if (it == shard.pending_allocs.end()) {
-    const std::size_t offset = group_.symmetric_heap_.alloc(bytes, align);
-    if (participants > 1) {
-      shard.pending_allocs.emplace(
-          key, ShmemLamellaeGroup::PendingAlloc{offset, participants - 1});
-    }
-    return offset;
-  }
-  const std::size_t offset = it->second.offset;
-  if (--it->second.remaining == 0) shard.pending_allocs.erase(it);
-  return offset;
+  return group_.collective_alloc(key, participants, bytes, align);
 }
 
 void ShmemLamellae::free_symmetric(std::size_t offset) {
@@ -78,27 +104,72 @@ void ShmemLamellae::free_symmetric_group(std::size_t offset,
   group_.collective_free(offset, participants);
 }
 
-std::size_t ShmemLamellae::alloc_onesided(std::size_t bytes,
-                                          std::size_t align) {
-  return group_.onesided_heaps_[pe_]->alloc(bytes, align);
+bool ShmemLamellae::try_send(pe_id dst, ByteBuffer& buf) {
+  check_pe("fabric send", dst, num_pes());
+  const std::size_t bytes = buf.size();
+  ShmemLamellaeGroup::Inbox& inbox = *group_.inboxes_[dst];
+  std::lock_guard lock(inbox.mu);
+  if (inbox.messages.size() >= group_.inbox_capacity_) return false;
+  charge(transfer_cost_ns(dst, bytes));
+  fabric_counters_.msgs_sent->inc();
+  fabric_counters_.bytes_sent->inc(bytes);
+  FabricMessage msg;
+  msg.src = my_pe();
+  msg.arrival_time = group_.virtual_time_ ? clock_.now() : 0;
+  msg.payload = std::move(buf);
+  inbox.messages.push_back(std::move(msg));
+  return true;
 }
 
-void ShmemLamellae::free_onesided(std::size_t offset) {
-  group_.onesided_heaps_[pe_]->free(offset);
+bool ShmemLamellae::poll(FabricMessage& out) {
+  ShmemLamellaeGroup::Inbox& inbox = *group_.inboxes_[my_pe()];
+  std::lock_guard lock(inbox.mu);
+  if (inbox.messages.empty()) return false;
+  out = std::move(inbox.messages.front());
+  inbox.messages.pop_front();
+  if (group_.virtual_time_) clock_.raise_to(out.arrival_time);
+  fabric_counters_.msgs_polled->inc();
+  return true;
+}
+
+bool ShmemLamellae::inbox_empty() const {
+  const ShmemLamellaeGroup::Inbox& inbox = *group_.inboxes_[my_pe()];
+  std::lock_guard lock(inbox.mu);
+  return inbox.messages.empty();
+}
+
+void ShmemLamellae::barrier() {
+  fabric_counters_.barriers->inc();
+  barrier(group_.world_barrier_, my_pe());
+}
+
+void ShmemLamellae::barrier(SenseBarrier& team, std::size_t rank) {
+  team.arrive_and_wait(rank, group_.virtual_time_ ? &clock_ : nullptr,
+                       group_.params_.barrier_ns);
+}
+
+double ShmemLamellae::transfer_cost_ns(pe_id peer, std::size_t bytes) const {
+  const PerfParams& p = group_.params_;
+  if (peer == my_pe()) return p.memcpy_ns(bytes);
+  if (group_.mapping_.same_node(my_pe(), peer)) {
+    // Shared-memory path: copy through the node's memory system.
+    return 120.0 + static_cast<double>(bytes) / p.memcpy_bytes_per_ns;
+  }
+  return p.rdma_cost_ns(bytes);
 }
 
 double ShmemLamellae::access_cost_ns(pe_id peer, Access kind,
                                      std::size_t bytes) const {
-  const ShmemFabric& fabric = group_.fabric_;
-  const PerfParams& p = fabric.params();
-  if (kind == Access::kAtomic && peer == pe_) return p.atomic_store_ns;
+  const PerfParams& p = group_.params_;
+  if (kind == Access::kAtomic && peer == my_pe()) return p.atomic_store_ns;
   if (kind == Access::kPipelined) {
     // Back-to-back posts pipeline on the NIC only; within a node the copy
     // runs at memcpy rate.
-    return fabric.mapping().same_node(pe_, peer) ? p.memcpy_ns(bytes)
-                                                 : p.pipelined_cost_ns(bytes);
+    return group_.mapping_.same_node(my_pe(), peer)
+               ? p.memcpy_ns(bytes)
+               : p.pipelined_cost_ns(bytes);
   }
-  return fabric.transfer_cost_ns(pe_, peer, bytes);
+  return transfer_cost_ns(peer, bytes);
 }
 
 }  // namespace lamellar

@@ -1,20 +1,29 @@
-// ShmemLamellae: the in-process, multi-PE Lamellae.
+// ShmemLamellae: the in-process, multi-PE Lamellae — this repo's substitute
+// for ROFI/libfabric (paper Sec. III-A).
 //
 // Plays the role of both the paper's ROFI Lamellae (when given a PeMapping
 // that spreads PEs across modeled nodes) and its Shmem Lamellae (all PEs on
-// one node).  All PEs share one ShmemFabric; each PE's arena is split into
-// [reserved page | symmetric heap | one-sided heap], mirroring the paper's
-// layout: a runtime-reserved region plus a dynamic heap.
+// one node).  The PEs of one world share a ShmemLamellaeGroup: every PE's
+// arena (its registered RDMA memory region, split by ArenaLayout), its
+// bounded message inbox, the world barrier and the symmetric heap.  Each
+// PE's endpoint owns the rest: its virtual clock, which every operation is
+// charged to via the PerfParams model, and (in the Lamellae base) its
+// metrics registry and one-sided heap.  Message arrival times propagate
+// causality to receivers, so benchmark numbers reflect the modeled
+// InfiniBand fabric.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "fabric/topology.hpp"
+#include "fabric/virtual_clock.hpp"
 #include "lamellae/heap.hpp"
 #include "lamellae/lamellae.hpp"
 
@@ -22,35 +31,20 @@ namespace lamellar {
 
 class ShmemLamellae;
 
-/// World-wide state shared by the per-PE ShmemLamellae endpoints.
+/// What the PEs of one in-process world share.  Endpoints borrow the
+/// group; the group must outlive them.
 class ShmemLamellaeGroup {
  public:
-  struct Layout {
-    std::size_t symmetric_bytes = 64 * 1024 * 1024;
-    std::size_t onesided_bytes = 32 * 1024 * 1024;
-    [[nodiscard]] std::size_t total() const {
-      return kReservedArenaBytes + symmetric_bytes + onesided_bytes;
-    }
-  };
-
-  ShmemLamellaeGroup(std::size_t num_pes, Layout layout,
+  ShmemLamellaeGroup(std::size_t num_pes, ArenaLayout layout = {},
                      PerfParams params = paper_perf_params(),
                      PeMapping mapping = PeMapping{},
-                     bool virtual_time = true, bool metrics_enabled = true);
+                     bool virtual_time = true);
 
-  /// Build the endpoint for one PE.  Endpoints borrow the group; the group
-  /// must outlive them.
+  /// Build the endpoint for one PE.  Build each PE's endpoint once: it owns
+  /// that PE's clock, registry and one-sided heap.
   std::unique_ptr<ShmemLamellae> endpoint(pe_id pe);
 
-  ShmemFabric& fabric() { return fabric_; }
-  [[nodiscard]] const Layout& layout() const { return layout_; }
-
-  /// Introspection for tests and the stress harness: the per-PE one-sided
-  /// heap (invariant checks at quiesce points) and the shared symmetric
-  /// heap.  The heaps are internally locked; callers get no allocation
-  /// authority they did not already have via alloc/free.
-  OffsetHeap& onesided_heap(pe_id pe) { return *onesided_heaps_[pe]; }
-  OffsetHeap& symmetric_heap() { return symmetric_heap_; }
+  [[nodiscard]] std::size_t num_pes() const { return arenas_.size(); }
 
   /// PE `pe`'s lane-buffer pool.  Owned here rather than by the endpoint:
   /// messages hand the sender's buffer over by pointer, and the receiver
@@ -60,17 +54,46 @@ class ShmemLamellaeGroup {
  private:
   friend class ShmemLamellae;
 
-  // Collective symmetric allocation bookkeeping: all PEs perform the same
-  // sequence of collective calls (standard SPMD requirement); the first
-  // arrival allocates, the rest pick up the result, the last erases it.
+  /// One PE's arena: a private anonymous mapping, so fresh regions read as
+  /// zero (the registered-region behaviour higher layers rely on for flags)
+  /// and pages are committed on first touch instead of zeroed at bring-up.
+  class Arena {
+   public:
+    explicit Arena(std::size_t bytes);
+    Arena(Arena&& o) noexcept
+        : base_(std::exchange(o.base_, nullptr)), bytes_(o.bytes_) {}
+    Arena& operator=(Arena&&) = delete;
+    ~Arena();
+    [[nodiscard]] std::byte* base() const { return base_; }
+
+   private:
+    std::byte* base_ = nullptr;
+    std::size_t bytes_ = 0;
+  };
+
+  struct Inbox {
+    mutable std::mutex mu;
+    std::deque<FabricMessage> messages;
+  };
+
+  // Collective symmetric allocation: all PEs perform the same sequence of
+  // collective calls (standard SPMD requirement); the first arrival
+  // allocates, the rest pick up the result, the last erases it.
+  std::size_t collective_alloc(std::uint64_t key, std::size_t participants,
+                               std::size_t bytes, std::size_t align);
   void collective_free(std::size_t offset, std::size_t participants);
 
-  Layout layout_;
-  ShmemFabric fabric_;
-  OffsetHeap symmetric_heap_;
-  std::vector<std::unique_ptr<OffsetHeap>> onesided_heaps_;
+  const ArenaLayout layout_;
+  const PerfParams params_;
+  const PeMapping mapping_;
+  const bool virtual_time_;
+  std::vector<Arena> arenas_;
+  std::vector<std::unique_ptr<Inbox>> inboxes_;
+  std::size_t inbox_capacity_ = 4096;
+  SenseBarrier world_barrier_;
   std::vector<std::unique_ptr<BufferPool>> buffer_pools_;
 
+  OffsetHeap symmetric_heap_;
   struct PendingAlloc {
     std::size_t offset = 0;
     std::size_t remaining = 0;
@@ -79,38 +102,14 @@ class ShmemLamellaeGroup {
     std::size_t calls = 0;
     std::size_t participants = 0;
   };
-  // Rendezvous state sharded by collective key / freed offset so that at
-  // high PE counts unrelated collectives do not serialize on one global
-  // mutex (the heap itself is internally locked).  Padded to a cache line
-  // each to keep shard locks from false-sharing.
-  static constexpr std::size_t kCollectiveShards = 16;
-  struct alignas(64) CollectiveShard {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, PendingAlloc> pending_allocs;
-    std::unordered_map<std::size_t, PendingFree> pending_frees;
-  };
-  CollectiveShard& alloc_shard(std::uint64_t key) {
-    return collective_shards_[key % kCollectiveShards];
-  }
-  CollectiveShard& free_shard(std::size_t offset) {
-    return collective_shards_[std::hash<std::size_t>{}(offset) %
-                              kCollectiveShards];
-  }
-  std::array<CollectiveShard, kCollectiveShards> collective_shards_;
-  /// Per-PE collective sequence numbers, lock-free: the n-th world-wide
-  /// collective call on every PE derives the same key with no shared lock.
-  std::vector<std::atomic<std::uint64_t>> alloc_seq_;
+  std::mutex collective_mu_;
+  std::unordered_map<std::uint64_t, PendingAlloc> pending_allocs_;
+  std::unordered_map<std::size_t, PendingFree> pending_frees_;
 };
 
 class ShmemLamellae final : public Lamellae {
  public:
-  ShmemLamellae(ShmemLamellaeGroup& group, pe_id pe)
-      : Lamellae(group.fabric().metrics(pe)), group_(group), pe_(pe) {}
-
-  [[nodiscard]] pe_id my_pe() const override { return pe_; }
-  [[nodiscard]] std::size_t num_pes() const override {
-    return group_.fabric_.num_pes();
-  }
+  ShmemLamellae(ShmemLamellaeGroup& group, pe_id pe);
 
   std::size_t alloc_symmetric(std::size_t bytes, std::size_t align) override;
   void free_symmetric(std::size_t offset) override;
@@ -120,48 +119,58 @@ class ShmemLamellae final : public Lamellae {
                                     std::size_t align) override;
   void free_symmetric_group(std::size_t offset,
                             std::size_t participants) override;
-  std::size_t alloc_onesided(std::size_t bytes, std::size_t align) override;
-  void free_onesided(std::size_t offset) override;
 
-  bool try_send(pe_id dst, ByteBuffer& buf) override {
-    return group_.fabric_.try_send(pe_, dst, buf);
-  }
-  bool poll(FabricMessage& out) override { return group_.fabric_.poll(pe_, out); }
-  [[nodiscard]] bool inbox_empty() const override {
-    return group_.fabric_.inbox_empty(pe_);
-  }
+  /// Enqueue into `dst`'s inbox; false when that inbox is full.
+  bool try_send(pe_id dst, ByteBuffer& buf) override;
+  /// Pop one message, raising this PE's clock to its arrival time.
+  bool poll(FabricMessage& out) override;
+  [[nodiscard]] bool inbox_empty() const override;
   BufferPool& buffer_pool(pe_id pe) override { return group_.buffer_pool(pe); }
 
-  /// This PE's one-sided heap (tests / stress-harness invariant checks).
-  OffsetHeap& onesided_heap() { return group_.onesided_heap(pe_); }
+  /// World barrier (counted in fabric.barriers).
+  void barrier() override;
+  /// This PE's clock joins the barrier only while virtual time is on.
+  void barrier(SenseBarrier& team, std::size_t rank) override;
 
-  void barrier() override { group_.fabric_.barrier(pe_); }
-  void barrier(SenseBarrier& team, std::size_t rank) override {
-    group_.fabric_.barrier(pe_, team, rank);
-  }
   /// With virtual time off the PE clock stays at zero: real time instead.
   [[nodiscard]] sim_nanos now() const override {
-    return group_.fabric_.virtual_time_enabled()
-               ? group_.fabric_.clock(pe_).now()
-               : real_now_ns();
+    return group_.virtual_time_ ? clock_.now() : real_now_ns();
   }
   [[nodiscard]] const PerfParams& params() const override {
-    return group_.fabric_.params();
+    return group_.params_;
   }
-  void charge(double ns) override { group_.fabric_.charge(pe_, ns); }
+  /// Wall-clock runs charge nothing: the clock and fabric.vtime_charged_ns
+  /// stay at zero.
+  void charge(double ns) override {
+    if (!group_.virtual_time_) return;
+    clock_.advance(ns);
+    vtime_charged_ns_->inc(static_cast<std::uint64_t>(ns));
+  }
   [[nodiscard]] std::size_t pes_per_node() const override {
-    return group_.fabric_.mapping().pes_per_node;
+    return group_.mapping_.pes_per_node;
   }
 
+  /// This PE's modeled clock itself, which now() reads only while virtual
+  /// time is on.
+  [[nodiscard]] const VirtualClock& clock() const { return clock_; }
+
  private:
-  [[nodiscard]] std::span<std::byte> arena(pe_id pe) const override {
-    return {group_.fabric_.arena(pe), group_.fabric_.arena_bytes()};
+  [[nodiscard]] std::byte* arena(pe_id pe) const override {
+    return group_.arenas_[pe].base();
   }
   [[nodiscard]] double access_cost_ns(pe_id peer, Access kind,
                                       std::size_t bytes) const override;
+  /// Cost of one put, get or message of `bytes` to or from `peer`
+  /// (intra-node transfers bypass the NIC and are charged at memory-copy
+  /// rates).
+  [[nodiscard]] double transfer_cost_ns(pe_id peer, std::size_t bytes) const;
 
   ShmemLamellaeGroup& group_;
-  pe_id pe_;
+  VirtualClock clock_;
+  obs::Counter* vtime_charged_ns_;
+  /// World-wide collective sequence number: the n-th world collective on
+  /// every PE derives the same key with no shared lock.
+  std::atomic<std::uint64_t> alloc_seq_{0};
 };
 
 }  // namespace lamellar

@@ -184,7 +184,6 @@ std::string MetricsSnapshot::to_json() const {
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  if (!enabled_) return inert_counter_;
   std::lock_guard lock(mu_);
   std::string key(name);
   auto it = counter_index_.find(key);
@@ -197,7 +196,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  if (!enabled_) return inert_gauge_;
   std::lock_guard lock(mu_);
   std::string key(name);
   auto it = gauge_index_.find(key);
@@ -210,7 +208,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
-  if (!enabled_) return inert_histogram_;
   std::lock_guard lock(mu_);
   std::string key(name);
   auto it = histogram_index_.find(key);
@@ -252,9 +249,9 @@ MetricsSnapshot MetricsRegistry::snapshot(pe_id pe) const {
   return snap;
 }
 
-MetricsRegistry& MetricsRegistry::disabled_instance() {
-  static MetricsRegistry inert(false);
-  return inert;
+MetricsRegistry& MetricsRegistry::process_instance() {
+  static MetricsRegistry registry;
+  return registry;
 }
 
 }  // namespace lamellar::obs

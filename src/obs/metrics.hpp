@@ -5,10 +5,6 @@
 // name lookup at construction time) and then update them with relaxed
 // atomics — the hot path is a single uncontended fetch_add on a
 // cache-line-padded word, cheap enough to stay on even in benchmark runs.
-//
-// A registry can be constructed disabled (LAMELLAR_METRICS=off): lookups
-// then hand back shared inert slots that are not recorded as entries, so
-// snapshots are empty and the instrument sites stay branch-free.
 #pragma once
 
 #include <array>
@@ -183,12 +179,9 @@ void snapshot_accumulate(MetricsSnapshot& into, const MetricsSnapshot& delta);
 /// registry's lifetime (entries live in deques and never move).
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
-
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  [[nodiscard]] bool enabled() const { return enabled_; }
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
@@ -196,10 +189,10 @@ class MetricsRegistry {
 
   [[nodiscard]] MetricsSnapshot snapshot(pe_id pe = 0) const;
 
-  /// Process-wide inert registry: layers constructed without a real
-  /// registry resolve their handles here, so instrument sites never need a
-  /// null check.
-  static MetricsRegistry& disabled_instance();
+  /// One process-wide registry: layers constructed without a PE's registry
+  /// resolve their handles here, so instrument sites never need a null
+  /// check.
+  static MetricsRegistry& process_instance();
 
  private:
   template <typename T>
@@ -208,7 +201,6 @@ class MetricsRegistry {
     T slot;
   };
 
-  bool enabled_;
   mutable std::mutex mu_;
   std::deque<Entry<Counter>> counters_;
   std::deque<Entry<Gauge>> gauges_;
@@ -216,11 +208,6 @@ class MetricsRegistry {
   std::unordered_map<std::string, Counter*> counter_index_;
   std::unordered_map<std::string, Gauge*> gauge_index_;
   std::unordered_map<std::string, Histogram*> histogram_index_;
-
-  // Shared inert slots handed out when disabled.
-  Counter inert_counter_;
-  Gauge inert_gauge_;
-  Histogram inert_histogram_;
 };
 
 }  // namespace lamellar::obs

@@ -71,16 +71,13 @@ std::size_t TraceCollector::num_rings() const {
   return rings_.size();
 }
 
-std::string TraceCollector::to_chrome_json(std::int64_t pe_filter) const {
+std::string TraceCollector::to_chrome_json() const {
   std::lock_guard lock(mu_);
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
   char buf[256];
   bool first = true;
   for (const auto& ring : rings_) {
     for (const auto& e : ring->drain_ordered()) {
-      if (pe_filter >= 0 && static_cast<std::int64_t>(e.pe) != pe_filter) {
-        continue;
-      }
       // Chrome trace timestamps are microseconds; keep ns precision with a
       // fractional part.
       std::snprintf(
@@ -113,11 +110,10 @@ std::string TraceCollector::to_chrome_json(std::int64_t pe_filter) const {
   return out;
 }
 
-bool TraceCollector::write_chrome_json(const std::string& path,
-                                       std::int64_t pe_filter) const {
+bool TraceCollector::write_chrome_json(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  const std::string json = to_chrome_json(pe_filter);
+  const std::string json = to_chrome_json();
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   std::fclose(f);
   return ok;

@@ -83,14 +83,11 @@ class TraceCollector {
   [[nodiscard]] std::size_t num_rings() const;
 
   /// Serialize all rings as a Chrome trace_event JSON object.  Call only
-  /// when writer threads are quiescent (joined or barriered).  When
-  /// `pe_filter` is non-negative, only events stamped with that PE are
-  /// emitted — the per-PE export mode behind LAMELLAR_TRACE_PER_PE.
-  [[nodiscard]] std::string to_chrome_json(std::int64_t pe_filter = -1) const;
+  /// when writer threads are quiescent (joined or barriered).
+  [[nodiscard]] std::string to_chrome_json() const;
 
   /// Write to_chrome_json() to `path`; returns false on I/O failure.
-  bool write_chrome_json(const std::string& path,
-                         std::int64_t pe_filter = -1) const;
+  bool write_chrome_json(const std::string& path) const;
 
  private:
   TraceRing* register_ring();

@@ -468,19 +468,17 @@ void check_quiesced_invariants(World& world, std::size_t round,
              pool.size(), pool.max_buffers(), me, round);
 
   // One-sided heap: structurally valid and fully reclaimed each round.
-  auto* shmem = dynamic_cast<ShmemLamellae*>(&world.lamellae());
-  if (shmem != nullptr) {
-    try {
-      const std::size_t blocks = shmem->onesided_heap().debug_validate();
-      SOAK_CHECK(blocks == heap_free_blocks_baseline, "heap coalesced",
-                 blocks, heap_free_blocks_baseline, me, round);
-    } catch (const Error& e) {
-      fail(e.what(), 1, 0, me, round);
-    }
-    SOAK_CHECK(shmem->onesided_heap().bytes_used() == heap_used_baseline,
-               "heap bytes_used restored", shmem->onesided_heap().bytes_used(),
-               heap_used_baseline, me, round);
+  OffsetHeap& heap = world.lamellae().onesided_heap();
+  try {
+    const std::size_t blocks = heap.debug_validate();
+    SOAK_CHECK(blocks == heap_free_blocks_baseline, "heap coalesced", blocks,
+               heap_free_blocks_baseline, me, round);
+  } catch (const Error& e) {
+    fail(e.what(), 1, 0, me, round);
   }
+  SOAK_CHECK(heap.bytes_used() == heap_used_baseline,
+             "heap bytes_used restored", heap.bytes_used(), heap_used_baseline,
+             me, round);
 }
 
 void soak_main(World& world, const Options& opt) {
@@ -498,12 +496,10 @@ void soak_main(World& world, const Options& opt) {
       world.lamellae().alloc_symmetric(8 * npes, 8);
   const std::size_t flag_off = world.lamellae().alloc_symmetric(8, 8);
 
-  std::size_t heap_used_baseline = 0;
-  std::size_t heap_blocks_baseline = 0;
-  if (auto* shmem = dynamic_cast<ShmemLamellae*>(&world.lamellae())) {
-    heap_used_baseline = shmem->onesided_heap().bytes_used();
-    heap_blocks_baseline = shmem->onesided_heap().debug_validate();
-  }
+  const std::size_t heap_used_baseline =
+      world.lamellae().onesided_heap().bytes_used();
+  const std::size_t heap_blocks_baseline =
+      world.lamellae().onesided_heap().debug_validate();
 
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t my_total_adds = 0;

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "fabric/perf_model.hpp"
-#include "fabric/shmem_fabric.hpp"
 #include "lamellae/cmd_queue.hpp"
 #include "lamellae/heap.hpp"
 #include "lamellae/shmem_lamellae.hpp"
@@ -71,7 +70,7 @@ TEST(Heap, DoubleFreeThrows) {
 }
 
 /// Arenas of the reserved page plus `heap_bytes` of symmetric heap.
-ShmemLamellaeGroup::Layout arena_layout(std::size_t heap_bytes) {
+ArenaLayout arena_layout(std::size_t heap_bytes) {
   return {.symmetric_bytes = heap_bytes, .onesided_bytes = 0};
 }
 
@@ -86,9 +85,10 @@ TEST(Fabric, PutGetBetweenArenas) {
 }
 
 TEST(Fabric, ArenaZeroInitialized) {
-  ShmemFabric fabric(1, 256);
-  for (std::size_t i = 0; i < 256; ++i) {
-    EXPECT_EQ(fabric.arena(0)[i], std::byte{0});
+  ShmemLamellaeGroup group(1, arena_layout(0));
+  auto l0 = group.endpoint(0);
+  for (std::size_t i = 0; i < l0->layout().total(); ++i) {
+    EXPECT_EQ(l0->base()[i], std::byte{0});
   }
 }
 
@@ -113,31 +113,15 @@ TEST(Fabric, RemoteAtomics) {
   EXPECT_EQ(expected, 43u);
 }
 
-TEST(Fabric, MessagingFifoPerDestination) {
-  ShmemFabric fabric(2, 256);
-  for (int i = 0; i < 5; ++i) {
-    ByteBuffer buf(sizeof(int));  // reserved: see serialize_to_buffer
-    buf.write_pod<int>(i);
-    ASSERT_TRUE(fabric.try_send(0, 1, buf));
-  }
-  FabricMessage msg;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(fabric.poll(1, msg));
-    EXPECT_EQ(msg.src, 0u);
-    EXPECT_EQ(msg.payload.read_pod<int>(), i);
-  }
-  EXPECT_FALSE(fabric.poll(1, msg));
-}
-
 TEST(Fabric, VirtualTimeChargesTransfers) {
   PeMapping mapping{1};  // each PE on its own node -> NIC path
   ShmemLamellaeGroup group(2, arena_layout(1 << 20), paper_perf_params(),
                            mapping, true);
   auto l0 = group.endpoint(0);
-  const auto t0 = group.fabric().clock(0).now();
+  const auto t0 = l0->now();
   std::vector<std::byte> data(1 << 16);
   l0->put(1, 0, data);
-  const auto dt = group.fabric().clock(0).now() - t0;
+  const auto dt = l0->now() - t0;
   // 64 KiB at ~12 GB/s plus overheads: roughly 6-8 us.
   EXPECT_GT(dt, 4'000u);
   EXPECT_LT(dt, 20'000u);
@@ -150,9 +134,11 @@ TEST(Fabric, IntraNodeCheaperThanInterNode) {
                         true);
   ShmemLamellaeGroup g2(2, arena_layout(1 << 20), paper_perf_params(), intra,
                         true);
-  g1.endpoint(0)->put(1, 0, data);
-  g2.endpoint(0)->put(1, 0, data);
-  EXPECT_GT(g1.fabric().clock(0).now(), g2.fabric().clock(0).now());
+  auto inter0 = g1.endpoint(0);
+  auto intra0 = g2.endpoint(0);
+  inter0->put(1, 0, data);
+  intra0->put(1, 0, data);
+  EXPECT_GT(inter0->now(), intra0->now());
 }
 
 // Every RDMA op advances the initiator's virtual clock by exactly its
@@ -184,9 +170,9 @@ TEST(Fabric, RdmaChargesPinnedToPerfParams) {
     SCOPED_TRACE(e.peer);
     const auto expect_charge = [&](const char* op, double cost,
                                    const auto& run) {
-      const sim_nanos t0 = group.fabric().clock(0).now();
+      const sim_nanos t0 = l0->now();
       run();
-      EXPECT_EQ(group.fabric().clock(0).now() - t0,
+      EXPECT_EQ(l0->now() - t0,
                 static_cast<sim_nanos>(cost))
           << op;
     };
@@ -207,12 +193,14 @@ TEST(Fabric, RdmaChargesPinnedToPerfParams) {
 }
 
 TEST(Fabric, BarrierSynchronizesClocks) {
-  ShmemFabric fabric(2, 256);
-  fabric.clock(0).advance(1'000'000);
-  std::thread t([&] { fabric.barrier(1); });
-  fabric.barrier(0);
+  ShmemLamellaeGroup group(2, arena_layout(0));
+  auto l0 = group.endpoint(0);
+  auto l1 = group.endpoint(1);
+  l0->charge(1'000'000);
+  std::thread t([&] { l1->barrier(); });
+  l0->barrier();
   t.join();
-  EXPECT_GE(fabric.clock(1).now(), 1'000'000u);
+  EXPECT_GE(l1->now(), 1'000'000u);
 }
 
 TEST(PerfModel, InjectThresholdDrop) {
@@ -313,6 +301,7 @@ TEST(Lamellae, SinglePe) {
 TEST(CmdQueue, AggregatesUntilThreshold) {
   ShmemLamellaeGroup group(2, {});
   auto l0 = group.endpoint(0);
+  auto l1 = group.endpoint(1);
   OutgoingQueues out(*l0, 256);
   // The ad-hoc buffer counter now lives in the PE's metrics registry.
   const obs::Counter& sent = l0->metrics().counter("cmdq.buffers_sent");
@@ -325,7 +314,7 @@ TEST(CmdQueue, AggregatesUntilThreshold) {
   EXPECT_EQ(sent.get(), 1u);
   EXPECT_EQ(l0->metrics().counter("cmdq.flush_threshold").get(), 1u);
   FabricMessage msg;
-  ASSERT_TRUE(group.fabric().poll(1, msg));
+  ASSERT_TRUE(l1->poll(msg));
   EXPECT_EQ(msg.payload.size(), 300u);
 }
 
@@ -384,7 +373,7 @@ TEST(Fabric, WallClockWorldChargesNothing) {
           charged[w.my_pe()] =
               w.metrics_snapshot().counter("fabric.vtime_charged_ns");
           clock[w.my_pe()] =
-              w.group().lamellae_group().fabric().clock(w.my_pe()).now();
+              static_cast<ShmemLamellae&>(w.lamellae()).clock().now();
         },
         RuntimeConfig{}, paper_perf_params(), PeMapping{}, virtual_time);
     for (pe_id pe = 0; pe < 2; ++pe) {

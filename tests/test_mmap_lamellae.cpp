@@ -4,9 +4,9 @@
 // space separation.  Includes crash injection (a PE _exit()s or is
 // SIGKILLed mid-run and the survivors must name it), a randomized
 // cross-process fabric-atomic conservation check, fig3-shaped checksum
-// parity and one RDMA contract (checks and counters) for the shmem and mmap
-// backends, and the two-view MAP_FIXED regression for OffsetHeap's
-// base-relative bookkeeping.
+// parity, one RDMA contract and one messaging contract (checks and
+// counters) for the shmem and mmap backends, and the two-view MAP_FIXED
+// regression for OffsetHeap's base-relative bookkeeping.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -15,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -110,6 +111,7 @@ class MpArray : public mptest::MpTest {};
 class MpProps : public mptest::MpTest {};
 class MpCrash : public mptest::MpTest {};
 class RdmaContract : public mptest::MpTest {};
+class MessagingContract : public mptest::MpTest {};
 
 /// True when `op` throws BoundsError; any other exception propagates.
 template <typename Op>
@@ -486,6 +488,73 @@ TEST_F(RdmaContract, InProcess) {
 }
 
 MP_TEST(RdmaContract, Mmap, 2) { rdma_contract(world); }
+
+// ---- the raw message transport: one contract on both backends ----
+
+/// Two endpoints of one 2-PE world: a send to a PE outside the world throws
+/// BoundsError and moves no counter; five buffers of different sizes then
+/// arrive in order, whole, from PE 0, and move exactly the sender's
+/// fabric.msgs_sent/bytes_sent and the receiver's fabric.msgs_polled.
+void messaging_contract(Lamellae& sender, Lamellae& receiver) {
+  ASSERT_EQ(sender.my_pe(), 0u);
+  ASSERT_EQ(receiver.my_pe(), 1u);
+  const obs::MetricsSnapshot sent_before = sender.metrics().snapshot();
+  const obs::MetricsSnapshot polled_before = receiver.metrics().snapshot();
+
+  ByteBuffer stray(8);
+  stray.write_pod<std::uint64_t>(7);
+  EXPECT_THROW(sender.try_send(sender.num_pes(), stray), BoundsError);
+  EXPECT_EQ(fabric_moves(sent_before, sender.metrics().snapshot()), "");
+
+  const std::size_t sizes[] = {4, 1, 100, 4096, 37};
+  std::vector<std::vector<std::byte>> sent;
+  std::size_t total = 0;
+  EXPECT_TRUE(receiver.inbox_empty());
+  for (std::size_t i = 0; i < std::size(sizes); ++i) {
+    std::vector<std::byte> bytes(sizes[i]);
+    for (std::size_t b = 0; b < bytes.size(); ++b) {
+      bytes[b] = static_cast<std::byte>(31 * i + b);
+    }
+    ByteBuffer buf(bytes.size());
+    buf.write(bytes.data(), bytes.size());
+    ASSERT_TRUE(sender.try_send(1, buf));
+    total += bytes.size();
+    sent.push_back(std::move(bytes));
+  }
+  EXPECT_FALSE(receiver.inbox_empty());
+
+  FabricMessage msg;
+  for (const auto& bytes : sent) {
+    ASSERT_TRUE(receiver.poll(msg));
+    EXPECT_EQ(msg.src, 0u);
+    const auto got = msg.payload.as_span();
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), bytes.begin(),
+                           bytes.end()));
+  }
+  EXPECT_FALSE(receiver.poll(msg));
+  EXPECT_EQ(fabric_moves(sent_before, sender.metrics().snapshot()),
+            "fabric.bytes_sent=" + std::to_string(total) +
+                " fabric.msgs_sent=5");
+  EXPECT_EQ(fabric_moves(polled_before, receiver.metrics().snapshot()),
+            "fabric.msgs_polled=5");
+}
+
+TEST_F(MessagingContract, InProcess) {
+  ShmemLamellaeGroup group(2);
+  auto l0 = group.endpoint(0);
+  auto l1 = group.endpoint(1);
+  messaging_contract(*l0, *l1);
+}
+
+// Both endpoints live in this test process: a running World's engine would
+// consume the raw buffers.
+TEST_F(MessagingContract, Mmap) {
+  const RuntimeConfig cfg = mptest::small_config();
+  MmapSegment segment = MmapSegment::create(2, cfg);
+  MmapLamellae l0(segment.name(), 0, cfg);
+  MmapLamellae l1(segment.name(), 1, cfg);
+  messaging_contract(l0, l1);
+}
 
 // ---- randomized cross-process fabric-atomic conservation ----
 

@@ -1,6 +1,7 @@
 // Observability layer: metrics registry correctness under concurrency,
 // end-to-end snapshot consistency through a multi-PE world, trace-ring
-// wraparound semantics, Chrome JSON export, and the metrics-off path.
+// wraparound semantics, Chrome JSON export, and the per-process trace files
+// of the mmap backend.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/config.hpp"
@@ -125,19 +127,6 @@ TEST(ObsMetrics, HistogramBucketsAndStats) {
   for (auto b : hs->buckets) bucket_total += b;
   EXPECT_EQ(bucket_total, hs->count);
   EXPECT_GE(hs->quantile_bound(0.99), 63u);  // p99 of 0..99 is in [64,128)
-}
-
-TEST(ObsMetrics, DisabledRegistryHasZeroEntries) {
-  obs::MetricsRegistry reg(false);
-  EXPECT_FALSE(reg.enabled());
-  reg.counter("a").inc();
-  reg.gauge("b").set(7);
-  reg.histogram("c").record(42);
-  auto snap = reg.snapshot();
-  EXPECT_TRUE(snap.empty());
-  EXPECT_EQ(snap.counter("a"), 0u);
-  // Disabled lookups share the inert slots; no per-name allocation.
-  EXPECT_EQ(&reg.counter("x"), &reg.counter("y"));
 }
 
 TEST(ObsMetrics, SnapshotJsonShape) {
@@ -467,13 +456,12 @@ TEST(ObsTelemetry, SamplerAppendsJsonlAndFinalTick) {
 TEST(ObsConfig, ParseTraceAndTelemetryKnobs) {
   RuntimeConfig cfg;  // defaults: everything off
   EXPECT_EQ(cfg.trace_sample, 0u);
-  EXPECT_FALSE(cfg.trace_per_pe);
   EXPECT_EQ(cfg.metrics_interval_ms, 0u);
   EXPECT_TRUE(cfg.metrics_file.empty());
 }
 
 TEST(ObsConfig, ParseMetricsMode) {
-  EXPECT_EQ(parse_metrics_mode("off"), MetricsMode::kOff);
+  EXPECT_THROW(parse_metrics_mode("off"), std::invalid_argument);
   EXPECT_EQ(parse_metrics_mode("quiet"), MetricsMode::kQuiet);
   EXPECT_EQ(parse_metrics_mode("summary"), MetricsMode::kSummary);
   EXPECT_EQ(parse_metrics_mode("json"), MetricsMode::kJson);
@@ -533,20 +521,6 @@ TEST(ObsWorld, SnapshotConsistencyAcrossPes) {
     EXPECT_GT(s.counter("cmdq.bytes_sent"), 0u);
     EXPECT_GT(s.counter("fabric.barriers"), 0u);
   }
-}
-
-TEST(ObsWorld, MetricsOffYieldsEmptySnapshots) {
-  RuntimeConfig cfg;
-  cfg.metrics_mode = MetricsMode::kOff;
-  run_world(
-      2,
-      [](World& world) {
-        world.block_on(world.exec_am_pe((world.my_pe() + 1) % 2, PingAm{7}));
-        world.barrier();
-        EXPECT_TRUE(world.metrics_snapshot().empty());
-        EXPECT_FALSE(world.metrics().enabled());
-      },
-      cfg);
 }
 
 // ---- Trace ring ----
@@ -646,18 +620,6 @@ TEST(ObsTrace, FlowEventsCarryIdAndBindingPoint) {
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
 }
 
-TEST(ObsTrace, PeFilterSelectsOnePe) {
-  obs::TraceCollector collector(true, 16);
-  collector.record({"on_pe0", "t", 0, 10, 0, 'i', 0});
-  collector.record({"on_pe1", "t", 1, 20, 0, 'i', 0});
-  const auto only1 = collector.to_chrome_json(1);
-  EXPECT_EQ(only1.find("on_pe0"), std::string::npos);
-  EXPECT_NE(only1.find("on_pe1"), std::string::npos);
-  const auto all = collector.to_chrome_json();
-  EXPECT_NE(all.find("on_pe0"), std::string::npos);
-  EXPECT_NE(all.find("on_pe1"), std::string::npos);
-}
-
 TEST(ObsWorld, SampledSpansBalanceAndStageHistogramsFill) {
   constexpr std::size_t kPes = 3;
   constexpr int kEach = 64;
@@ -748,9 +710,13 @@ TEST(ObsWorld, PerPeTraceExportWritesOneFilePerPe) {
   const std::string pe0 = ::testing::TempDir() + "lamellar_pp_trace.pe0.json";
   const std::string pe1 = ::testing::TempDir() + "lamellar_pp_trace.pe1.json";
   for (const auto& p : {base, pe0, pe1}) std::remove(p.c_str());
+  // Under the mmap backend each PE is its own process and writes its own
+  // file.
   RuntimeConfig cfg;
+  cfg.backend = BackendKind::kMmap;
+  cfg.symmetric_heap_bytes = std::size_t{8} << 20;
+  cfg.onesided_heap_bytes = std::size_t{4} << 20;
   cfg.trace_file = base;
-  cfg.trace_per_pe = true;
   cfg.trace_sample = 1;
   run_world(
       2,
@@ -759,15 +725,20 @@ TEST(ObsWorld, PerPeTraceExportWritesOneFilePerPe) {
         world.barrier();
       },
       cfg);
-  // The base path is replaced by per-PE siblings.
+  // The base path is replaced by per-PE siblings, each holding only the
+  // events of the process that wrote it.
   EXPECT_FALSE(std::ifstream(base).good());
-  for (const auto& p : {pe0, pe1}) {
+  for (const auto& [p, own, other] :
+       {std::tuple{pe0, "\"pid\":0,", "\"pid\":1,"},
+        std::tuple{pe1, "\"pid\":1,", "\"pid\":0,"}}) {
     std::ifstream in(p);
     ASSERT_TRUE(in.good()) << p;
     std::stringstream ss;
     ss << in.rdbuf();
     const std::string json = ss.str();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    EXPECT_NE(json.find(own), std::string::npos) << p;
+    EXPECT_EQ(json.find(other), std::string::npos) << p;
   }
   // The sampled flow chain is present across the pair of files.
   std::stringstream both;

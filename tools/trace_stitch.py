@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Merge per-PE Chrome trace files and verify causal AM flow chains.
+"""Merge Chrome trace files and verify causal AM flow chains.
 
-The runtime (LAMELLAR_TRACE_PER_PE=1) writes one Chrome trace_event JSON
-file per PE.  Each trace-sampled active message emits a flow chain whose id
-is the span id (origin PE in the top 16 bits over the origin request id):
+An in-process run writes one Chrome trace_event JSON file holding every PE
+(LAMELLAR_TRACE_FILE); a multi-process run (LAMELLAR_BACKEND=mmap) writes one
+file per PE process, trace.peN.json.  Pass either: one combined file or all
+of a run's per-PE files.  Each trace-sampled active message emits a flow
+chain whose id is the span id (origin PE in the top 16 bits over the origin
+request id):
 
     am_send ('s', origin PE)      span opened at injection
     am_flush ('t', origin PE)     aggregation buffer departed the lane
@@ -15,7 +18,7 @@ Timestamps are the runtime's one time source, Lamellae::now(): per-PE
 virtual clocks in a virtual-time run, the host's steady clock (shared by
 every PE) in wall-clock and multi-process runs.
 
-This tool merges the files into one Perfetto-loadable timeline, verifies
+This tool merges its inputs into one Perfetto-loadable timeline, verifies
 every chain is complete and causally ordered (timestamps are only compared
 within a single PE: per-PE virtual clocks are not globally ordered), and
 prints a per-stage latency breakdown (count / mean / p50 / p90 / p99) from
@@ -177,9 +180,11 @@ def print_table(rows, out=sys.stdout):
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Merge per-PE Lamellar trace files; verify AM flow chains."
+        description="Merge Lamellar trace files; verify AM flow chains."
     )
-    ap.add_argument("files", nargs="+", help="per-PE Chrome trace JSON files")
+    ap.add_argument(
+        "files", nargs="+", help="one combined Chrome trace JSON file, or per-PE files"
+    )
     ap.add_argument("-o", "--out", help="write the merged trace here")
     ap.add_argument(
         "--verify",
