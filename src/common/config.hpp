@@ -1,7 +1,7 @@
 // Runtime configuration, mirroring the environment-variable knobs the paper's
 // runtime exposes (aggregation threshold, batch-op limit, heap sizes, worker
 // threads).  Values are read once from the environment with documented
-// defaults; every knob can also be set programmatically on WorldBuilder.
+// defaults; every knob can also be set on the RuntimeConfig run_world takes.
 #pragma once
 
 #include <cstddef>

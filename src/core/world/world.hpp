@@ -1,14 +1,14 @@
 // LamellarWorld: the top-level per-PE runtime handle (paper Sec. III,
 // Listing 1).
 //
-// A WorldGroup owns the whole in-process "cluster": the state its PEs share
-// (ShmemLamellaeGroup), and one World per PE, which owns that PE's Lamellae
-// endpoint + work-stealing pool + AM engine + Darc manager.
-// `run_world(npes, fn)` launches one SPMD "main" thread per PE — the
-// in-process equivalent of the paper's slurm-launched processes — and tears
-// everything down with the paper's implicit-finalization semantics: each
-// PE's world stays responsive (its pool keeps executing AMs) until every PE
-// is ready to deinitialize.
+// A World owns one PE's Lamellae endpoint + work-stealing pool + AM engine
+// + Darc manager.  A WorldGroup runs the PEs of one process: in-process
+// every PE of the world, under LAMELLAR_BACKEND=mmap the one PE of a forked
+// child.  `run_world(npes, fn)` launches one SPMD "main" per PE — a thread
+// each in-process, the in-process equivalent of the paper's slurm-launched
+// processes, or a forked process each — and tears everything down with the
+// paper's implicit-finalization semantics: each PE's world stays responsive
+// (its pool keeps executing AMs) until every PE is ready to deinitialize.
 #pragma once
 
 #include <functional>
@@ -18,11 +18,13 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/rendezvous.hpp"
 #include "core/am/am_engine.hpp"
 #include "core/darc/darc.hpp"
 #include "core/scheduler/thread_pool.hpp"
 #include "core/world/team.hpp"
-#include "lamellae/shmem_lamellae.hpp"
+#include "fabric/perf_model.hpp"
+#include "fabric/topology.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -33,22 +35,6 @@ class World;
 class WorldGroup;
 template <typename T>
 class OneSidedMemoryRegion;
-
-/// What a World needs from its launcher, independent of whether sibling PEs
-/// are threads in this process (WorldGroup) or forked processes over a
-/// shared segment (MpProcessRuntime, DESIGN.md §13).  Everything else a
-/// World does goes through its own Lamellae endpoint.
-class WorldBackend {
- public:
-  virtual ~WorldBackend() = default;
-
-  [[nodiscard]] virtual const RuntimeConfig& config() const = 0;
-  virtual obs::TraceCollector& tracer() = 0;
-
-  /// Collective team-creation rendezvous (see WorldGroup::rendezvous_team).
-  virtual std::shared_ptr<TeamShared> rendezvous_team(
-      pe_id pe, std::vector<pe_id> members) = 0;
-};
 
 /// One-sided memory-region lifetime registry: the origin PE tracks the
 /// total reference *weight*; see core/memregion/onesided_region.hpp for the
@@ -81,7 +67,7 @@ class OneSidedRegistry {
 
 class World {
  public:
-  World(WorldBackend& backend, std::unique_ptr<Lamellae> lamellae, pe_id pe);
+  World(WorldGroup& group, std::unique_ptr<Lamellae> lamellae);
   ~World() = default;
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -142,12 +128,13 @@ class World {
   /// The team containing every PE.
   [[nodiscard]] const Team& team() const { return world_team_; }
 
-  /// Collectively (over the *world*) create a team from `members` (sorted
-  /// world PE ids).  Every world PE must call; non-members receive an
-  /// invalid Team handle.
+  /// Collectively (over the *world*) create a team from `members` (world
+  /// PE ids).  Every world PE must call; non-members receive an invalid
+  /// Team handle.
   Team create_team(std::vector<pe_id> members);
 
-  /// Split the world into contiguous teams of `block` PEs each.
+  /// Collectively (over the world) split it into contiguous teams of
+  /// `block` PEs each.
   Team split_block(std::size_t block);
 
   // ---- accessors for runtime layers ----
@@ -157,7 +144,6 @@ class World {
   OneSidedRegistry& onesided_registry() { return *onesided_; }
   ThreadPool& pool() { return *pool_; }
   [[nodiscard]] const RuntimeConfig& config() const;
-  WorldBackend& backend() { return backend_; }
 
   /// This PE's time in ns (Lamellae::now()): modeled time under virtual
   /// time, real steady-clock time otherwise.
@@ -190,9 +176,13 @@ class World {
 
  private:
   friend class WorldGroup;
-  friend class MpProcessRuntime;
 
-  WorldBackend& backend_;
+  /// The rest of one team-creating world collective, on every PE: count
+  /// the call, join `members` unless this PE is in none (empty), then a
+  /// world barrier.
+  Team make_team(std::vector<pe_id> members);
+
+  WorldGroup& group_;
   std::unique_ptr<Lamellae> lamellae_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<AmEngine> engine_;
@@ -201,74 +191,65 @@ class World {
   Team world_team_;
   /// The count word's value at this PE's last quiesce_round.
   std::uint64_t quiesce_total_ = 0;
+  /// create_team and split_block calls so far.  Every PE advances it on
+  /// every such call, member or not (both are world collectives), so the
+  /// n-th call names the same teams on every PE.
+  std::uint64_t team_calls_ = 0;
 };
 
-/// The in-process "cluster": shared state plus one World per PE.
-class WorldGroup : public WorldBackend {
+/// The PEs this process runs, from the endpoints run_world hands it: in-
+/// process every PE of the world, under LAMELLAR_BACKEND=mmap the one PE of
+/// a forked child.  It alone owns the config, the tracer, telemetry, the
+/// world team, the team rendezvous and the teardown.
+class WorldGroup {
  public:
-  explicit WorldGroup(std::size_t num_pes,
-                      RuntimeConfig cfg = RuntimeConfig::from_env(),
-                      PerfParams params = paper_perf_params(),
-                      PeMapping mapping = PeMapping{},
-                      bool virtual_time = true);
-  ~WorldGroup() override;
+  /// Bring up one World per endpoint, in PE order.
+  WorldGroup(std::vector<std::unique_ptr<Lamellae>> endpoints,
+             RuntimeConfig cfg);
+  /// One teardown for both backends: join every pool, stop telemetry,
+  /// write the reports (summary/JSON per metrics_mode, the trace file per
+  /// trace_file), then drop the endpoints.
+  ~WorldGroup();
 
   WorldGroup(const WorldGroup&) = delete;
   WorldGroup& operator=(const WorldGroup&) = delete;
 
-  [[nodiscard]] std::size_t num_pes() const { return worlds_.size(); }
-  World& world(pe_id pe) { return *worlds_[pe]; }
-  [[nodiscard]] const RuntimeConfig& config() const override { return cfg_; }
+  /// The i-th PE this process runs.
+  World& world(std::size_t i) { return *worlds_[i]; }
+  [[nodiscard]] const RuntimeConfig& config() const { return cfg_; }
 
-  /// Group-wide trace collector; null object pattern not used — may be
-  /// consulted but is disabled unless LAMELLAR_TRACE_FILE is set.
-  obs::TraceCollector& tracer() override { return tracer_; }
+  /// Group-wide trace collector; consulted always, enabled only when
+  /// LAMELLAR_TRACE_FILE is set.
+  obs::TraceCollector& tracer() { return tracer_; }
 
-  /// Metrics snapshots for every PE (pe-indexed).
-  [[nodiscard]] std::vector<obs::MetricsSnapshot> metrics_snapshots() const;
-
-  /// Emit the end-of-run reports now (summary/JSON per metrics_mode, trace
-  /// file per trace_file).  Runs automatically at destruction; calling it
-  /// early disables the automatic emission.
-  void emit_reports();
-
-  /// Shared team registry: collective team creation rendezvous.
-  std::shared_ptr<TeamShared> rendezvous_team(
-      pe_id pe, std::vector<pe_id> members) override;
+  /// The shared state of the team `members` that team-creating world
+  /// collective number `call` makes: the first member here makes it, and
+  /// the others pick it up.
+  std::shared_ptr<TeamShared> join_team(std::uint64_t call,
+                                        std::vector<pe_id> members);
 
  private:
+  /// Metrics snapshots for every PE this process runs, in PE order.
+  [[nodiscard]] std::vector<obs::MetricsSnapshot> metrics_snapshots() const;
+
   RuntimeConfig cfg_;
-  obs::TraceCollector tracer_;  // before lamellae_group_: outlives workers
-  ShmemLamellaeGroup lamellae_group_;
+  obs::TraceCollector tracer_;  // before worlds_: outlives their workers
+  Rendezvous<std::shared_ptr<TeamShared>> teams_;
   /// Each World owns its PE's endpoint, and so that PE's metrics registry:
   /// the destructor joins every pool and writes the reports before these
   /// are destroyed.
   std::vector<std::unique_ptr<World>> worlds_;
   /// Background time-series sampler (LAMELLAR_METRICS_INTERVAL_MS); null
   /// when disabled.  Declared after worlds_: its thread snapshots them, so
-  /// it must stop (emit_reports) / destruct first.
+  /// it must stop (in the destructor) and destruct first.
   std::unique_ptr<obs::TelemetrySampler> telemetry_;
-  bool reports_emitted_ = false;
-
-  std::mutex team_mu_;
-  std::uint64_t next_team_uid_ = 1;
-  struct PendingTeam {
-    std::shared_ptr<TeamShared> shared;
-    std::size_t remaining = 0;
-  };
-  std::unordered_map<std::uint64_t, PendingTeam> pending_teams_;
-  std::vector<std::uint64_t> team_seq_;  // per-PE collective team counter
 };
 
-/// The end-of-run reports, for both backends: the stderr metrics report
-/// cfg.metrics_mode asks for over `snaps`, and `tracer`'s trace in
-/// cfg.trace_file.
-void write_run_reports(const RuntimeConfig& cfg,
-                       const std::vector<obs::MetricsSnapshot>& snaps,
-                       const obs::TraceCollector& tracer);
-
-/// Run an SPMD function on `npes` in-process PEs: the equivalent of
-/// launching the paper's binary under slurm with `npes` processes.
+/// Run an SPMD function on `npes` PEs: the equivalent of launching the
+/// paper's binary under slurm with `npes` processes.  In-process PEs are
+/// threads; with cfg.backend == BackendKind::kMmap each PE is a forked
+/// process over a fresh shared segment, and the first failure is rethrown
+/// as an Error naming the casualty (its captured stderr included).
 void run_world(std::size_t npes, const std::function<void(World&)>& body,
                RuntimeConfig cfg = RuntimeConfig::from_env(),
                PerfParams params = paper_perf_params(),

@@ -24,12 +24,41 @@ FabricCounters::FabricCounters(obs::MetricsRegistry& reg)
       bytes_sent(&reg.counter("fabric.bytes_sent")),
       barriers(&reg.counter("fabric.barriers")) {}
 
-Lamellae::Lamellae(pe_id pe, std::size_t num_pes, ArenaLayout layout)
+Lamellae::Lamellae(pe_id pe, std::size_t num_pes, ArenaLayout layout,
+                   std::shared_ptr<SymmetricHeap> symmetric)
     : fabric_counters_(metrics_),
       pe_(pe),
       num_pes_(num_pes),
       layout_(layout),
-      onesided_heap_(layout.onesided_base(), layout.onesided_bytes) {}
+      onesided_heap_(layout.onesided_base(), layout.onesided_bytes),
+      symmetric_(std::move(symmetric)) {}
+
+std::size_t Lamellae::alloc_symmetric(std::size_t bytes, std::size_t align) {
+  // Bit 63 keeps world keys apart from team keys (collective object ids).
+  const std::uint64_t key =
+      (1ULL << 63) | world_allocs_.fetch_add(1, std::memory_order_relaxed);
+  return alloc_symmetric_group(key, num_pes_, bytes, align);
+}
+
+void Lamellae::free_symmetric(std::size_t offset) {
+  free_symmetric_group(offset, num_pes_);
+}
+
+std::size_t Lamellae::alloc_symmetric_group(std::uint64_t key,
+                                            std::size_t participants,
+                                            std::size_t bytes,
+                                            std::size_t align) {
+  SymmetricHeap& s = *symmetric_;
+  return s.rendezvous.arrive(key, participants, "symmetric alloc",
+                             [&] { return s.heap.alloc(bytes, align); });
+}
+
+void Lamellae::free_symmetric_group(std::size_t offset,
+                                    std::size_t participants) {
+  SymmetricHeap& s = *symmetric_;
+  s.rendezvous.depart(offset, participants, "symmetric free",
+                      [&] { s.heap.free(offset); });
+}
 
 std::byte* Lamellae::checked(pe_id pe, std::size_t offset,
                              std::size_t len) const {

@@ -9,16 +9,19 @@
 // PeMapping deciding which transfers are "inter-node"; a one-PE group plays
 // the paper's SMP lamellae) and MmapLamellae (one forked process per PE over
 // a shared segment).  The base holds what every PE's endpoint owns on both
-// backends: its identity, its metrics registry and its one-sided heap.
+// backends: its identity, its metrics registry and its one-sided heap, and
+// the symmetric heap it is handed.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "common/buffer_pool.hpp"
 #include "common/bytes.hpp"
+#include "common/rendezvous.hpp"
 #include "common/types.hpp"
 #include "fabric/barrier.hpp"
 #include "fabric/perf_model.hpp"
@@ -48,6 +51,19 @@ struct ArenaLayout {
   [[nodiscard]] std::size_t total() const {
     return onesided_base() + onesided_bytes;
   }
+};
+
+/// The symmetric heap and the rendezvous its collectives meet in.  An
+/// in-process group hands every endpoint the one it shares; each mmap
+/// process keeps its own replica.  `local_pes` is the backend's one fact:
+/// how many of the world's `world_pes` PEs this process runs.
+struct SymmetricHeap {
+  SymmetricHeap(const ArenaLayout& layout, std::size_t world_pes,
+                std::size_t local_pes)
+      : heap(kReservedArenaBytes, layout.symmetric_bytes),
+        rendezvous(world_pes, local_pes) {}
+  OffsetHeap heap;
+  Rendezvous<std::size_t> rendezvous;
 };
 
 /// A serialized message in flight between two PEs.
@@ -82,32 +98,39 @@ class Lamellae {
   [[nodiscard]] pe_id my_pe() const { return pe_; }
   [[nodiscard]] std::size_t num_pes() const { return num_pes_; }
   [[nodiscard]] const ArenaLayout& layout() const { return layout_; }
+  /// How many of the world's PEs this process runs: all of them
+  /// in-process, one under mmap.
+  [[nodiscard]] std::size_t local_pes() const {
+    return symmetric_->rendezvous.local_pes();
+  }
 
   /// Base of this PE's registered memory arena.
   std::byte* base() { return arena(pe_); }
 
   // ---- RDMA memory-region management ----
 
+  // Written once for every backend (lamellae.cpp), over the symmetric heap
+  // this endpoint is handed; its rendezvous (common/rendezvous.hpp) makes
+  // one offset per collective.
+
   /// Collective: every PE must call with identical arguments and in the same
   /// order; the same offset is returned on all PEs.  Blocks only the calling
   /// thread (paper Sec. III-A1).
-  virtual std::size_t alloc_symmetric(std::size_t bytes,
-                                      std::size_t align) = 0;
+  std::size_t alloc_symmetric(std::size_t bytes, std::size_t align);
 
   /// Collective release; storage is reclaimed when the last PE calls.
-  virtual void free_symmetric(std::size_t offset) = 0;
+  void free_symmetric(std::size_t offset);
 
   /// Team-scoped collective allocation: `key` identifies the collective
   /// instance (identical on all participants, unique per call) and
   /// `participants` how many PEs take part.  Same offset returned to all.
-  virtual std::size_t alloc_symmetric_group(std::uint64_t key,
-                                            std::size_t participants,
-                                            std::size_t bytes,
-                                            std::size_t align) = 0;
+  /// A process that holds a replica throws Error unless all PEs take part.
+  std::size_t alloc_symmetric_group(std::uint64_t key,
+                                    std::size_t participants,
+                                    std::size_t bytes, std::size_t align);
 
   /// Team-scoped collective release.
-  virtual void free_symmetric_group(std::size_t offset,
-                                    std::size_t participants) = 0;
+  void free_symmetric_group(std::size_t offset, std::size_t participants);
 
   /// One-sided allocation from this PE's dynamic heap.
   std::size_t alloc_onesided(std::size_t bytes, std::size_t align) {
@@ -190,7 +213,8 @@ class Lamellae {
   [[nodiscard]] virtual std::size_t pes_per_node() const { return 1; }
 
  protected:
-  Lamellae(pe_id pe, std::size_t num_pes, ArenaLayout layout);
+  Lamellae(pe_id pe, std::size_t num_pes, ArenaLayout layout,
+           std::shared_ptr<SymmetricHeap> symmetric);
 
   [[nodiscard]] static sim_nanos real_now_ns() {
     return static_cast<sim_nanos>(
@@ -233,6 +257,10 @@ class Lamellae {
   const std::size_t num_pes_;
   const ArenaLayout layout_;
   OffsetHeap onesided_heap_;
+  std::shared_ptr<SymmetricHeap> symmetric_;
+  /// World-wide collective allocations so far: the n-th one on every PE
+  /// derives the same rendezvous key with no shared lock.
+  std::atomic<std::uint64_t> world_allocs_{0};
 };
 
 }  // namespace lamellar

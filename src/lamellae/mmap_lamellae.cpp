@@ -257,14 +257,15 @@ MmapLamellae::MmapLamellae(const std::string& segment_name, pe_id pe,
 
 MmapLamellae::MmapLamellae(Mapping map, const std::string& segment_name,
                            pe_id pe, const RuntimeConfig& cfg)
-    : Lamellae(pe, map.ctl().num_pes,
-               {map.ctl().symmetric_bytes, map.ctl().onesided_bytes}),
+    // The symmetric heap is this process's own replica: it runs one PE.
+    : Lamellae(pe, map.ctl().num_pes, map.layout(),
+               std::make_shared<SymmetricHeap>(map.layout(),
+                                               map.ctl().num_pes, 1)),
       name_(segment_name),
       map_(map.base),
       map_bytes_(map.bytes),
       ctl_(&map.ctl()),
       barrier_timeout_ms_(cfg.mp_barrier_timeout_ms),
-      symmetric_heap_(kReservedArenaBytes, layout().symmetric_bytes),
       buffer_pool_(lane_pool_bound(num_pes())),
       params_(paper_perf_params()),
       backpressure_waits_(&metrics().counter("mp.backpressure_waits")),
@@ -294,43 +295,6 @@ void MmapLamellae::mark_exited() {
     // arrives is as fatal to the collective as a crashed one.
     futex_wake(&ctl_->bar_gen);
   }
-}
-
-// ---- heaps ----------------------------------------------------------------
-
-std::size_t MmapLamellae::alloc_symmetric(std::size_t bytes,
-                                          std::size_t align) {
-  // No communication: every PE's replica performs the identical sequence of
-  // collective alloc/free calls (the SPMD contract in lamellae.hpp), so each
-  // computes the same offset locally.
-  return symmetric_heap_.alloc(bytes, align);
-}
-
-void MmapLamellae::free_symmetric(std::size_t offset) {
-  symmetric_heap_.free(offset);
-}
-
-std::size_t MmapLamellae::alloc_symmetric_group(std::uint64_t /*key*/,
-                                                std::size_t participants,
-                                                std::size_t bytes,
-                                                std::size_t align) {
-  if (participants != num_pes()) {
-    throw Error(
-        "MmapLamellae: team-scoped symmetric allocation needs the full world "
-        "(replicated-heap determinism breaks when only " +
-        std::to_string(participants) + " of " + std::to_string(num_pes()) +
-        " PEs allocate); split teams are unsupported under "
-        "LAMELLAR_BACKEND=mmap");
-  }
-  return alloc_symmetric(bytes, align);
-}
-
-void MmapLamellae::free_symmetric_group(std::size_t offset,
-                                        std::size_t participants) {
-  if (participants != num_pes()) {
-    throw Error("MmapLamellae: team-scoped symmetric free is unsupported");
-  }
-  free_symmetric(offset);
 }
 
 // ---- message transport ----------------------------------------------------

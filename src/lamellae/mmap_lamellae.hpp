@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/config.hpp"
-#include "lamellae/heap.hpp"
 #include "lamellae/lamellae.hpp"
 
 namespace lamellar {
@@ -151,15 +150,6 @@ class MmapLamellae final : public Lamellae {
                const RuntimeConfig& cfg);
   ~MmapLamellae() override;
 
-  std::size_t alloc_symmetric(std::size_t bytes, std::size_t align) override;
-  void free_symmetric(std::size_t offset) override;
-  std::size_t alloc_symmetric_group(std::uint64_t key,
-                                    std::size_t participants,
-                                    std::size_t bytes,
-                                    std::size_t align) override;
-  void free_symmetric_group(std::size_t offset,
-                            std::size_t participants) override;
-
   bool try_send(pe_id dst, ByteBuffer& buf) override;
   bool poll(FabricMessage& out) override;
   [[nodiscard]] bool inbox_empty() const override;
@@ -168,7 +158,7 @@ class MmapLamellae final : public Lamellae {
   void barrier() override;
   /// Only the full-world team can meet here, in the segment's world
   /// barrier: a sub-team would need team state in the shared segment (the
-  /// mp rendezvous already rejects creating one).
+  /// rendezvous of a process that runs one PE rejects creating one).
   void barrier(SenseBarrier& team, std::size_t rank) override;
   [[nodiscard]] const PerfParams& params() const override { return params_; }
   /// Real processes run on real time: there is no modeled time to charge.
@@ -190,6 +180,9 @@ class MmapLamellae final : public Lamellae {
     std::size_t bytes = 0;
     [[nodiscard]] mpshm::MpControl& ctl() const {
       return *reinterpret_cast<mpshm::MpControl*>(base);
+    }
+    [[nodiscard]] ArenaLayout layout() const {
+      return {ctl().symmetric_bytes, ctl().onesided_bytes};
     }
   };
   /// Map `name` and check its magic, its version and `pe`'s range.
@@ -220,12 +213,6 @@ class MmapLamellae final : public Lamellae {
   std::size_t map_bytes_ = 0;
   mpshm::MpControl* ctl_ = nullptr;
   std::uint64_t barrier_timeout_ms_ = 10'000;
-
-  // Symmetric heap: a deterministic per-process REPLICA.  World collectives
-  // call alloc/free with identical arguments in identical order on every PE
-  // (the SPMD contract the paper's runtime also relies on), so each
-  // process's replica computes the same offsets with zero communication.
-  OffsetHeap symmetric_heap_;
   BufferPool buffer_pool_;
 
   PerfParams params_;

@@ -28,7 +28,7 @@ ShmemLamellaeGroup::ShmemLamellaeGroup(std::size_t num_pes, ArenaLayout layout,
       mapping_(mapping),
       virtual_time_(virtual_time),
       world_barrier_(num_pes),
-      symmetric_heap_(kReservedArenaBytes, layout.symmetric_bytes) {
+      symmetric_(std::make_shared<SymmetricHeap>(layout, num_pes, num_pes)) {
   arenas_.reserve(num_pes);
   inboxes_.reserve(num_pes);
   buffer_pools_.reserve(num_pes);
@@ -44,65 +44,10 @@ std::unique_ptr<ShmemLamellae> ShmemLamellaeGroup::endpoint(pe_id pe) {
   return std::make_unique<ShmemLamellae>(*this, pe);
 }
 
-std::size_t ShmemLamellaeGroup::collective_alloc(std::uint64_t key,
-                                                 std::size_t participants,
-                                                 std::size_t bytes,
-                                                 std::size_t align) {
-  std::lock_guard lock(collective_mu_);
-  auto it = pending_allocs_.find(key);
-  if (it == pending_allocs_.end()) {
-    const std::size_t offset = symmetric_heap_.alloc(bytes, align);
-    if (participants > 1) {
-      pending_allocs_.emplace(key, PendingAlloc{offset, participants - 1});
-    }
-    return offset;
-  }
-  const std::size_t offset = it->second.offset;
-  if (--it->second.remaining == 0) pending_allocs_.erase(it);
-  return offset;
-}
-
-void ShmemLamellaeGroup::collective_free(std::size_t offset,
-                                         std::size_t participants) {
-  std::lock_guard lock(collective_mu_);
-  auto [it, inserted] = pending_frees_.try_emplace(offset);
-  it->second.participants = participants;
-  if (++it->second.calls == participants) {
-    pending_frees_.erase(it);
-    symmetric_heap_.free(offset);
-  }
-}
-
 ShmemLamellae::ShmemLamellae(ShmemLamellaeGroup& group, pe_id pe)
-    : Lamellae(pe, group.num_pes(), group.layout_),
+    : Lamellae(pe, group.num_pes(), group.layout_, group.symmetric_),
       group_(group),
       vtime_charged_ns_(&metrics().counter("fabric.vtime_charged_ns")) {}
-
-std::size_t ShmemLamellae::alloc_symmetric(std::size_t bytes,
-                                           std::size_t align) {
-  // World-wide collectives use a per-PE sequence number in a reserved key
-  // space; team collectives pass their own keys via the _group variant.
-  // The sequence must match across PEs, so the key carries no PE bits.
-  const std::uint64_t key =
-      (1ULL << 63) | alloc_seq_.fetch_add(1, std::memory_order_relaxed);
-  return group_.collective_alloc(key, num_pes(), bytes, align);
-}
-
-std::size_t ShmemLamellae::alloc_symmetric_group(std::uint64_t key,
-                                                 std::size_t participants,
-                                                 std::size_t bytes,
-                                                 std::size_t align) {
-  return group_.collective_alloc(key, participants, bytes, align);
-}
-
-void ShmemLamellae::free_symmetric(std::size_t offset) {
-  group_.collective_free(offset, num_pes());
-}
-
-void ShmemLamellae::free_symmetric_group(std::size_t offset,
-                                         std::size_t participants) {
-  group_.collective_free(offset, participants);
-}
 
 bool ShmemLamellae::try_send(pe_id dst, ByteBuffer& buf) {
   check_pe("fabric send", dst, num_pes());

@@ -5,26 +5,24 @@
 // that spreads PEs across modeled nodes) and its Shmem Lamellae (all PEs on
 // one node).  The PEs of one world share a ShmemLamellaeGroup: every PE's
 // arena (its registered RDMA memory region, split by ArenaLayout), its
-// bounded message inbox, the world barrier and the symmetric heap.  Each
-// PE's endpoint owns the rest: its virtual clock, which every operation is
-// charged to via the PerfParams model, and (in the Lamellae base) its
-// metrics registry and one-sided heap.  Message arrival times propagate
-// causality to receivers, so benchmark numbers reflect the modeled
-// InfiniBand fabric.
+// bounded message inbox, the world barrier and the one symmetric heap,
+// whose rendezvous meets the participants (this process runs every PE).
+// Each PE's endpoint owns the rest: its virtual clock, which every
+// operation is charged to via the PerfParams model, and (in the Lamellae
+// base) its metrics registry and one-sided heap.  Message arrival times
+// propagate causality to receivers, so benchmark numbers reflect the
+// modeled InfiniBand fabric.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "fabric/topology.hpp"
 #include "fabric/virtual_clock.hpp"
-#include "lamellae/heap.hpp"
 #include "lamellae/lamellae.hpp"
 
 namespace lamellar {
@@ -76,13 +74,6 @@ class ShmemLamellaeGroup {
     std::deque<FabricMessage> messages;
   };
 
-  // Collective symmetric allocation: all PEs perform the same sequence of
-  // collective calls (standard SPMD requirement); the first arrival
-  // allocates, the rest pick up the result, the last erases it.
-  std::size_t collective_alloc(std::uint64_t key, std::size_t participants,
-                               std::size_t bytes, std::size_t align);
-  void collective_free(std::size_t offset, std::size_t participants);
-
   const ArenaLayout layout_;
   const PerfParams params_;
   const PeMapping mapping_;
@@ -92,33 +83,12 @@ class ShmemLamellaeGroup {
   std::size_t inbox_capacity_ = 4096;
   SenseBarrier world_barrier_;
   std::vector<std::unique_ptr<BufferPool>> buffer_pools_;
-
-  OffsetHeap symmetric_heap_;
-  struct PendingAlloc {
-    std::size_t offset = 0;
-    std::size_t remaining = 0;
-  };
-  struct PendingFree {
-    std::size_t calls = 0;
-    std::size_t participants = 0;
-  };
-  std::mutex collective_mu_;
-  std::unordered_map<std::uint64_t, PendingAlloc> pending_allocs_;
-  std::unordered_map<std::size_t, PendingFree> pending_frees_;
+  std::shared_ptr<SymmetricHeap> symmetric_;
 };
 
 class ShmemLamellae final : public Lamellae {
  public:
   ShmemLamellae(ShmemLamellaeGroup& group, pe_id pe);
-
-  std::size_t alloc_symmetric(std::size_t bytes, std::size_t align) override;
-  void free_symmetric(std::size_t offset) override;
-  std::size_t alloc_symmetric_group(std::uint64_t key,
-                                    std::size_t participants,
-                                    std::size_t bytes,
-                                    std::size_t align) override;
-  void free_symmetric_group(std::size_t offset,
-                            std::size_t participants) override;
 
   /// Enqueue into `dst`'s inbox; false when that inbox is full.
   bool try_send(pe_id dst, ByteBuffer& buf) override;
@@ -168,9 +138,6 @@ class ShmemLamellae final : public Lamellae {
   ShmemLamellaeGroup& group_;
   VirtualClock clock_;
   obs::Counter* vtime_charged_ns_;
-  /// World-wide collective sequence number: the n-th world collective on
-  /// every PE derives the same key with no shared lock.
-  std::atomic<std::uint64_t> alloc_seq_{0};
 };
 
 }  // namespace lamellar

@@ -26,7 +26,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/world/mp_runtime.hpp"
 #include "core/world/world.hpp"
 #include "lamellae/mmap_lamellae.hpp"
 

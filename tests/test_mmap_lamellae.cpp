@@ -4,9 +4,10 @@
 // space separation.  Includes crash injection (a PE _exit()s or is
 // SIGKILLed mid-run and the survivors must name it), a randomized
 // cross-process fabric-atomic conservation check, fig3-shaped checksum
-// parity, one RDMA contract and one messaging contract (checks and
-// counters) for the shmem and mmap backends, and the two-view MAP_FIXED
-// regression for OffsetHeap's base-relative bookkeeping.
+// parity, one RDMA contract, one messaging contract (checks and counters)
+// and one collective contract (symmetric alloc and free) for the shmem and
+// mmap backends, and the two-view MAP_FIXED regression for OffsetHeap's
+// base-relative bookkeeping.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -31,6 +32,7 @@
 #include "core/memregion/onesided_region.hpp"
 #include "core/memregion/shared_region.hpp"
 #include "lamellae/heap.hpp"
+#include "lamellae/shmem_lamellae.hpp"
 #include "lamellar.hpp"
 #include "mp/mp_harness.hpp"
 
@@ -112,6 +114,7 @@ class MpProps : public mptest::MpTest {};
 class MpCrash : public mptest::MpTest {};
 class RdmaContract : public mptest::MpTest {};
 class MessagingContract : public mptest::MpTest {};
+class CollectiveContract : public mptest::MpTest {};
 
 /// True when `op` throws BoundsError; any other exception propagates.
 template <typename Op>
@@ -488,6 +491,86 @@ TEST_F(RdmaContract, InProcess) {
 }
 
 MP_TEST(RdmaContract, Mmap, 2) { rdma_contract(world); }
+
+// ---- the collective rendezvous: one contract on both backends ----
+
+/// Post `value` as this PE's word of `board` on PE 0; return every PE's
+/// word once all have posted.  Words of a PE whose `board` offset differs
+/// from this PE's read as some other value (the arena starts zeroed).
+std::vector<std::uint64_t> posted(World& world, std::size_t board,
+                                  std::uint64_t value) {
+  Lamellae& l = world.lamellae();
+  l.atomic_store_u64(0, board + 8 * world.my_pe(), value);
+  world.barrier();
+  std::vector<std::uint64_t> words(world.num_pes());
+  for (pe_id p = 0; p < world.num_pes(); ++p) {
+    words[p] = l.atomic_load_u64(0, board + 8 * p);
+  }
+  world.barrier();  // every PE reads before any PE posts again
+  return words;
+}
+
+/// SPMD on 4 PEs.  A symmetric allocation has one offset on every PE, and
+/// a collective free completes at the last of this process's participants:
+/// in-process PE 3 frees `a` only after the others have allocated `b`, so
+/// `b` cannot reuse it; each mmap process is its own last participant, so
+/// its `b` does.  The first allocation after the free completes reuses the
+/// block (first fit).  A team-scoped allocation of each pair {0, 1}, {2, 3}
+/// gives its members one offset in-process, and throws Error on every PE
+/// at the call, before any barrier, in a process that runs one PE.
+void collective_contract(World& world) {
+  Lamellae& l = world.lamellae();
+  const pe_id me = world.my_pe();
+  const std::size_t all = world.num_pes();
+  const bool replica = l.local_pes() < all;
+  const std::size_t board = l.alloc_symmetric(8 * all, 8);
+  MP_CHECK(posted(world, board, board) ==
+           std::vector<std::uint64_t>(all, board));
+
+  constexpr std::size_t kBlock = std::size_t{1} << 20;
+  const std::size_t a = l.alloc_symmetric(kBlock, 64);
+  MP_CHECK(posted(world, board, a) == std::vector<std::uint64_t>(all, a));
+  const pe_id last = all - 1;
+  if (me == last) world.barrier();
+  l.free_symmetric(a);
+  const std::size_t b = l.alloc_symmetric(kBlock, 64);
+  if (me != last) world.barrier();
+  MP_CHECK(posted(world, board, b) == std::vector<std::uint64_t>(all, b));
+  MP_CHECK_EQ(b == a, replica);
+  const std::size_t c = l.alloc_symmetric(kBlock, 64);
+  MP_CHECK_EQ(replica ? b : c, a);
+  l.free_symmetric(c);
+  l.free_symmetric(b);
+
+  const std::uint64_t pair_key = 1 + me / 2;
+  std::size_t g = 0;
+  bool threw = false;
+  try {
+    g = l.alloc_symmetric_group(pair_key, 2, 256, 64);
+  } catch (const Error&) {
+    threw = true;
+  }
+  MP_CHECK_EQ(threw, replica);
+  if (!replica) {
+    const std::vector<std::uint64_t> got = posted(world, board, g);
+    MP_CHECK_EQ(got[me ^ 1], g);
+    MP_CHECK(got[(me + 2) % all] != g);
+    l.free_symmetric_group(g, 2);
+  }
+  l.free_symmetric(board);
+}
+
+TEST_F(CollectiveContract, InProcess) {
+  RuntimeConfig cfg = mptest::small_config();
+  cfg.backend = BackendKind::kShmem;
+  try {
+    run_world(4, collective_contract, cfg);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << e.what();
+  }
+}
+
+MP_TEST(CollectiveContract, Mmap, 4) { collective_contract(world); }
 
 // ---- the raw message transport: one contract on both backends ----
 

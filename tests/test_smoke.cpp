@@ -340,4 +340,48 @@ TEST(Smoke, TeamsSplitAndBarrier) {
   });
 }
 
+// Every PE gets the same members, so every PE throws before the barrier.
+TEST(Smoke, CreateTeamRejectsPeOutsideWorld) {
+  run_world(2, [](World& world) {
+    EXPECT_THROW(world.create_team({0, 2}), BoundsError);
+    world.barrier();
+  });
+}
+
+// create_team is a world collective: PE 0 is in only the first team, PE 2
+// in only the second and PE 1 in both, so the members of {1, 2} must name
+// that team alike although they made different numbers of teams before it.
+// The uids are compared after a world barrier, and the members meet in the
+// team only when they agree, so a mismatch fails here instead of hanging.
+TEST(Smoke, OverlappingCreateTeamsAgree) {
+  std::array<std::atomic<std::uint64_t>, 3> uid{};
+  run_world(3, [&](World& world) {
+    const pe_id me = world.my_pe();
+    Team first = world.create_team({0, 1});
+    Team second = world.create_team({1, 2});
+    EXPECT_EQ(first.valid(), me != 2);
+    EXPECT_EQ(second.valid(), me != 0);
+    if (second.valid()) uid[me] = second.uid();
+    world.barrier();
+    const bool agree = uid[1].load() == uid[2].load();
+    EXPECT_TRUE(agree) << "PE 1 got uid " << uid[1] << ", PE 2 got uid "
+                       << uid[2];
+    if (agree && second.valid()) {
+      second.barrier();
+      auto region =
+          SharedMemoryRegion<std::uint64_t>::create_on(world, second, 4);
+      const std::size_t peer = 1 - second.my_rank();
+      const std::vector<std::uint64_t> mine(4, 100 + me);
+      region.unsafe_put(peer, 0, mine);
+      second.barrier();
+      std::vector<std::uint64_t> back(4);
+      region.unsafe_get(peer, 0, back);
+      EXPECT_EQ(back, mine);
+      EXPECT_EQ(region.unsafe_local_slice()[3], 100 + second.world_pe(peer));
+      second.barrier();
+    }
+    world.barrier();
+  });
+}
+
 }  // namespace
